@@ -11,6 +11,7 @@ typical drop seen so far.
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -265,11 +266,18 @@ def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
     exactly at the threshold is recorded as an advisory, not a trigger.
     Rapid-change criterion: first event whose drop exceeds the ratio times
     the median of all earlier drops (skipped while that median is zero, so a
-    flat series never divides by zero).
+    flat series never divides by zero). A non-finite series value or
+    threshold is an InputError, because NaN compares false against every
+    threshold and would hide a collapse.
     """
     series = [float(v) for v in series]
     if len(series) < 2:
         raise InputError("warning scan needs a series of at least 2 events")
+    for e, value in enumerate(series):
+        if not math.isfinite(value):
+            raise InputError(f"warning series value at event {e} is not finite: {value}")
+    if threshold is not None and not math.isfinite(threshold):
+        raise InputError(f"warning threshold must be finite, got {threshold}")
     if not rapid_change_ratio > 0:
         raise InputError(f"rapid-change ratio must be positive, got {rapid_change_ratio}")
     at_threshold = []

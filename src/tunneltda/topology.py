@@ -8,9 +8,10 @@ components and line-bounded holes carry all the structure of interest.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_MAX_FILTRATION = 30.0
+TRIANGLE_CHUNK = 1 << 18  # candidate (edge, vertex) cells examined per step
 
 
 @dataclass(frozen=True)
@@ -130,26 +132,84 @@ class Chain:
         return len(self.simplices)
 
 
-@dataclass(frozen=True)
 class Filtration:
-    """Simplices sorted so that every face precedes its cofaces."""
+    """A capped complex up to triangles, held as sorted arrays.
 
-    simplices: tuple[FiltSimplex, ...]
-    max_filtration: float
-    max_dim: int = 2
+    Vertices 0..n_vertices-1 enter at scale 0. ``edges`` (m, 2) and
+    ``triangles`` (t, 3) hold sorted vertex labels, with their values in
+    ``edge_values`` and ``triangle_values``; each array is in filtration
+    order, by value and then by vertex labels. ``simplices`` is the same
+    filtration as FiltSimplex objects in (value, dim, vertices) order. It
+    is built on first access, for oracles and tests; the engine never
+    reads it.
+    """
 
-    def __post_init__(self):
-        keys = [s.sort_key() for s in self.simplices]
+    def __init__(self, simplices, max_filtration: float, max_dim: int = 2):
+        """Filtration from FiltSimplex objects already in sort_key order.
+
+        The vertices must be (0,), (1,), ... at scale 0, and every face of
+        an edge or triangle must come before it.
+        """
+        simplices = tuple(simplices)
+        keys = [s.sort_key() for s in simplices]
         if keys != sorted(keys):
             raise InputError("filtration simplices are not in sorted order")
-        for s in self.simplices:
-            if s.value > self.max_filtration:
+        by_dim: tuple[list, list, list] = ([], [], [])
+        seen = set()
+        for s in simplices:
+            if s.value > max_filtration:
                 raise InputError(
-                    f"simplex {s.vertices} has value {s.value} above the cap {self.max_filtration}"
+                    f"simplex {s.vertices} has value {s.value} above the cap {max_filtration}"
                 )
+            missing = boundary(s).simplices - seen
+            if missing:
+                raise InputError(f"simplex {s.vertices} enters before its face {min(missing)}")
+            seen.add(s.vertices)
+            by_dim[s.dim].append(s)
+        verts, edges, tris = by_dim
+        if [s.vertices for s in verts] != [(i,) for i in range(len(verts))] \
+                or any(s.value != 0.0 for s in verts):
+            raise InputError("vertices must be labelled 0..n-1 and enter at scale 0")
+        self._set_arrays(
+            len(verts),
+            np.array([s.vertices for s in edges], dtype=np.intp).reshape(-1, 2),
+            np.array([s.value for s in edges], dtype=float),
+            np.array([s.vertices for s in tris], dtype=np.intp).reshape(-1, 3),
+            np.array([s.value for s in tris], dtype=float),
+            max_filtration, max_dim)
+        self.__dict__["simplices"] = simplices
+
+    @classmethod
+    def from_arrays(cls, n_vertices: int, edges: np.ndarray, edge_values: np.ndarray,
+                    triangles: np.ndarray, triangle_values: np.ndarray,
+                    max_filtration: float) -> "Filtration":
+        """Wrap arrays that are already in filtration order, unchecked."""
+        f = cls.__new__(cls)
+        f._set_arrays(n_vertices, edges, edge_values, triangles, triangle_values,
+                      max_filtration, 2)
+        return f
+
+    def _set_arrays(self, n_vertices, edges, edge_values, triangles, triangle_values,
+                    max_filtration, max_dim):
+        for a in (edges, edge_values, triangles, triangle_values):
+            a.setflags(write=False)
+        self.n_vertices = int(n_vertices)
+        self.edges, self.edge_values = edges, edge_values
+        self.triangles, self.triangle_values = triangles, triangle_values
+        self.max_filtration = float(max_filtration)
+        self.max_dim = max_dim
+
+    @cached_property
+    def simplices(self) -> tuple[FiltSimplex, ...]:
+        out = [FiltSimplex((i,), 0.0) for i in range(self.n_vertices)]
+        for verts, values in ((self.edges, self.edge_values),
+                              (self.triangles, self.triangle_values)):
+            out += [FiltSimplex(tuple(v), x) for v, x in zip(verts.tolist(), values.tolist())]
+        out.sort(key=FiltSimplex.sort_key)
+        return tuple(out)
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return self.n_vertices + len(self.edge_values) + len(self.triangle_values)
 
 
 class PersistencePair(NamedTuple):
@@ -171,7 +231,9 @@ class Barcode:
 
     def __post_init__(self):
         for p in self.pairs:
-            if p.birth < 0 or p.birth > p.death:
+            if p.dim not in (0, 1):
+                raise InputError(f"persistence pair {p} has dimension {p.dim}, expected 0 or 1")
+            if not 0 <= p.birth <= p.death:  # also false when either is NaN
                 raise InputError(f"invalid persistence pair {p}")
 
     def __len__(self) -> int:
@@ -199,25 +261,36 @@ def build_vr_filtration(
 
     Vertices enter at scale 0; an edge enters at the distance between its
     endpoints; a triangle enters at its longest edge. Simplices whose value
-    exceeds the cap are omitted.
+    exceeds the cap are omitted. The result holds only arrays, no
+    per-simplex objects.
     """
     if not max_filtration > 0:
         raise InputError(f"max_filtration must be positive, got {max_filtration}")
     if max_dim != 2:
         raise InputError("only max_dim=2 is supported")
-    n = dm.n
     d = dm.d
-    simplices = [FiltSimplex((i,), 0.0) for i in range(n)]
-    edge_ok = d <= max_filtration
-    for i, j in combinations(range(n), 2):
-        if edge_ok[i, j]:
-            simplices.append(FiltSimplex((i, j), float(d[i, j])))
-    for i, j, k in combinations(range(n), 3):
-        if edge_ok[i, j] and edge_ok[i, k] and edge_ok[j, k]:
-            value = max(d[i, j], d[i, k], d[j, k])
-            simplices.append(FiltSimplex((i, j, k), float(value)))
-    simplices.sort(key=FiltSimplex.sort_key)
-    return Filtration(tuple(simplices), float(max_filtration), max_dim)
+    within = np.triu(d <= max_filtration, 1)
+    # np.nonzero lists pairs and triples in lexicographic order, so a stable
+    # sort by value gives the (value, vertices) order.
+    i, j = np.nonzero(within)
+    edges = np.column_stack([i, j])
+    edge_values = d[i, j]
+    order = np.argsort(edge_values, kind="stable")
+    # Triangle (i, j, k) for each edge (i, j) and each k > j within the cap of
+    # both. Edges go in chunks of at most TRIANGLE_CHUNK candidate cells, so
+    # memory follows the triangles found, never n^3.
+    rows = max(1, TRIANGLE_CHUNK // max(dm.n, 1))
+    blocks = [np.empty((0, 3), dtype=np.intp)]
+    for lo in range(0, len(i), rows):
+        ci, cj = i[lo:lo + rows], j[lo:lo + rows]
+        r, k = np.nonzero(within[ci] & within[cj])
+        blocks.append(np.column_stack([ci[r], cj[r], k]))
+    tris = np.concatenate(blocks)
+    a, b, c = tris.T
+    tri_values = np.maximum(np.maximum(d[a, b], d[a, c]), d[b, c])
+    tri_order = np.argsort(tri_values, kind="stable")
+    return Filtration.from_arrays(dm.n, edges[order], edge_values[order],
+                                  tris[tri_order], tri_values[tri_order], max_filtration)
 
 
 def boundary(s: FiltSimplex) -> Chain:
@@ -240,41 +313,116 @@ def boundary_of_chain(c: Chain) -> Chain:
     return total
 
 
-def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
-    """Barcode of a filtration by column reduction of the Z2 boundary matrix.
+def _root(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]  # path halving
+        v = parent[v]
+    return v
 
-    Columns are processed in filtration order with sparse sets of row
-    indices; a column is repeatedly reduced by the column sharing its lowest
-    row until its pivot is fresh or it vanishes. A vanishing column creates a
-    class, a surviving pivot kills the class created at its lowest row.
-    Classes still open at the cap get infinite death. Pairs with zero
-    persistence are dropped unless keep_zero_bars is set.
+
+def _pivot(heap: list[int]) -> int | None:
+    """Smallest entry of odd multiplicity in a Z2 column kept as a heap.
+
+    Pairs of equal entries above it cancel and are popped.
     """
-    order = {s.vertices: idx for idx, s in enumerate(f.simplices)}
-    columns: dict[int, set[int]] = {}
-    pivot_of_row: dict[int, int] = {}  # creator row -> column that kills it
+    while heap:
+        t = heapq.heappop(heap)
+        if not heap or heap[0] != t:
+            heapq.heappush(heap, t)
+            return t
+        heapq.heappop(heap)
+    return None
 
-    for j, s in enumerate(f.simplices):
-        col = {order[face] for face in boundary(s).simplices}
-        while col:
-            low = max(col)
-            other = pivot_of_row.get(low)
-            if other is None:
-                break
-            col ^= columns[other]
-        if col:
-            columns[j] = col
-            pivot_of_row[max(col)] = j
 
+def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
+    """Barcode by union-find for H0 and cohomology reduction for H1, over Z2.
+
+    H0: Kruskal union-find over the sorted edges. An edge that joins two
+    components kills one of them; these edges form the minimum spanning
+    forest and pair with vertices, so their H1 columns are cleared (Chen &
+    Kerber 2011). H1: the coboundaries of the remaining edges are reduced in
+    reverse filtration order, each column's pivot being its earliest
+    triangle (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser,
+    2021). An edge whose earliest coface has the edge as its latest facet is
+    an apparent pair: its column is already reduced and is read from the
+    coboundary, never stored. Only columns that receive additions keep their
+    rows. A column reduced to zero is a class still open at the cap and gets
+    infinite death. The pairing equals that of the standard boundary
+    reduction in (value, dim, vertices) order. Pairs with zero persistence
+    are dropped unless keep_zero_bars is set.
+    """
+    n, edges = f.n_vertices, f.edges
+    edge_values, tri_values = f.edge_values, f.triangle_values
+    m = len(edge_values)
     pairs = []
-    for idx, s in enumerate(f.simplices):
-        if s.dim > 1 or idx in columns:
-            continue  # not a creator, or creates in a dimension we do not report
-        killer = pivot_of_row.get(idx)
-        death = math.inf if killer is None else f.simplices[killer].value
-        if not keep_zero_bars and death == s.value:
-            continue
-        pairs.append(PersistencePair(s.dim, s.value, death))
+
+    parent = list(range(n))
+    cleared = np.zeros(m, dtype=bool)
+    components = n
+    for e, (a, b) in enumerate(edges.tolist()):
+        if components == 1:
+            break
+        ra, rb = _root(parent, a), _root(parent, b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+            cleared[e] = True
+            components -= 1
+    deaths = edge_values[cleared]
+    if not keep_zero_bars:
+        deaths = deaths[deaths > 0.0]
+    pairs += [PersistencePair(0, 0.0, x) for x in deaths.tolist()]
+    pairs += [PersistencePair(0, 0.0, math.inf)] * components
+
+    # Facets of each triangle as edge indices, and the cofaces of each edge
+    # as ascending triangle indices: cofaces[start[e]:start[e + 1]].
+    edge_index = np.full((n, n), -1, dtype=np.intp)
+    edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
+    a, b, c = f.triangles.T
+    facets = np.column_stack([edge_index[a, b], edge_index[a, c], edge_index[b, c]])
+    n_tris = len(tri_values)
+    cofaces = np.sort((facets * n_tris + np.arange(n_tris)[:, None]).ravel()) % max(n_tris, 1)
+    start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
+    has_coface = start[1:] > start[:-1]
+    earliest = np.full(m, -1, dtype=np.intp)
+    earliest[has_coface] = cofaces[start[:-1][has_coface]]
+    latest = facets.max(axis=1)
+    apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
+    apparent_edges = latest[apparent_tris]
+
+    births = edge_values[apparent_edges]
+    deaths = tri_values[apparent_tris]
+    keep = slice(None) if keep_zero_bars else deaths > births
+    pairs += [PersistencePair(1, x, y)
+              for x, y in zip(births[keep].tolist(), deaths[keep].tolist())]
+
+    pivot_owner = dict(zip(apparent_tris.tolist(), apparent_edges.tolist()))
+    reduced: dict[int, list[int]] = {}
+    todo = ~cleared
+    todo[apparent_edges] = False
+    for e in reversed(np.flatnonzero(todo).tolist()):
+        col = cofaces[start[e]:start[e + 1]].tolist()  # ascending, so already a heap
+        added = False
+        while (pivot := _pivot(col)) is not None:
+            owner = pivot_owner.get(pivot)
+            if owner is None:
+                break
+            other = reduced.get(owner)
+            if other is None:
+                other = cofaces[start[owner]:start[owner + 1]].tolist()
+            for t in other:
+                heapq.heappush(col, t)
+            added = True
+        birth = float(edge_values[e])
+        if pivot is None:
+            death = math.inf
+        else:
+            pivot_owner[pivot] = e
+            if added:
+                reduced[e] = col
+            death = float(tri_values[pivot])
+        if keep_zero_bars or death > birth:
+            pairs.append(PersistencePair(1, birth, death))
     pairs.sort()
     return Barcode(tuple(pairs), f.max_filtration)
 

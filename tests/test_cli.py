@@ -41,6 +41,18 @@ def test_synth_then_full_stage_chain(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_warn_rejects_nan_series_value(tmp_path, capsys):
+    feats = tmp_path / "features.csv"
+    rows = ["event," + ",".join(f"f{i}" for i in range(1, 15))]
+    for event, f8 in enumerate(["21.8", "21.75", "nan", "21.9"]):
+        values = ["1.0"] * 14
+        values[7] = f8
+        rows.append(f"{event}," + ",".join(values))
+    feats.write_text("\n".join(rows) + "\n")
+    assert run(["warn", "--features", feats, "--threshold", "21.68", "--gate"]) == 1
+    assert "event 2 is not finite" in capsys.readouterr().err
+
+
 def test_warn_gate_exit_code_on_fixture(capsys):
     assert run(["warn", "--preset", "paper", "--gate"]) == 3
     out = capsys.readouterr().out

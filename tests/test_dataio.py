@@ -150,6 +150,19 @@ def test_barcode_malformed_death_token(tmp_path):
         dataio.read_barcode(path)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1,nan,2.0", "invalid persistence pair"),
+    ("1,1.0,nan", "invalid persistence pair"),
+    ("2,1.0,2.0", "dimension 2"),
+    ("-1,0.0,inf", "dimension -1"),
+])
+def test_barcode_nan_or_bad_dim_rejected(tmp_path, row, message):
+    path = tmp_path / "bc.csv"
+    path.write_text(f"# max_filtration=5.0\ndim,birth,death\n{row}\n")
+    with pytest.raises(InputError, match=message):
+        dataio.read_barcode(path)
+
+
 # ---------------------------------------------------------------------------
 # features files
 

@@ -27,6 +27,17 @@ def test_warning_on_published_series():
     assert any("event 4" in note for note in report.notes)
 
 
+@pytest.mark.parametrize("series, threshold", [
+    ([21.8, 21.75, float("nan"), 21.9], 21.68),
+    ([21.8, 21.75, float("nan"), 21.9], None),
+    ([21.8, float("-inf"), 21.9], 21.68),
+    ([21.8, 21.75, 21.9], float("nan")),
+])
+def test_warning_rejects_non_finite(series, threshold):
+    with pytest.raises(InputError, match="finite"):
+        detect_warning(series, threshold=threshold)
+
+
 def test_warning_constant_series_never_triggers():
     report = detect_warning([42.0] * 21)
     assert not report.triggered

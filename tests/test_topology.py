@@ -266,3 +266,15 @@ def test_persistent_betti_rejects_negative_window(square_barcode):
 def test_barcode_rejects_death_before_birth():
     with pytest.raises(InputError):
         Barcode((PersistencePair(0, 2.0, 1.0),), 5.0)
+
+
+@pytest.mark.parametrize("pair", [
+    PersistencePair(0, math.nan, 1.0),
+    PersistencePair(1, 1.0, math.nan),
+    PersistencePair(1, math.nan, math.nan),
+    PersistencePair(2, 0.0, 1.0),
+    PersistencePair(-1, 0.0, 1.0),
+])
+def test_barcode_rejects_nan_and_bad_dim(pair):
+    with pytest.raises(InputError):
+        Barcode((pair,), 5.0)
