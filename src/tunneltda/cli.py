@@ -70,6 +70,22 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _feature_column(matrix, feature: int):
+    """Column of a 14-feature matrix by its 1-based feature number."""
+    if not 1 <= feature <= matrix.shape[1]:
+        raise InputError(f"--feature must be in 1..{matrix.shape[1]}, got {feature}")
+    return matrix[:, feature - 1]
+
+
+def _fixture_feature(feature: int) -> dataio.FeatureFixture:
+    _, t6 = dataio.fixtures()
+    if feature not in t6.features:
+        available = ", ".join(str(k) for k in sorted(t6.features))
+        raise InputError(f"--feature {feature} is not in the paper fixture; "
+                         f"available features: {available}")
+    return t6.features[feature]
+
+
 def _print_experiment(report: pipeline.ExperimentReport) -> None:
     print(f"feature {report.feature_index}: gamma={report.gamma:g} "
           f"sigma={report.sigma:g} trend_guard={report.trend_guard_applied}")
@@ -84,15 +100,14 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
 
 def _cmd_train_predict(args) -> int:
     if args.preset == "paper":
+        _fixture_feature(args.feature)
         reports = pipeline.run_table6_experiment((args.feature,), args.split)
         report = reports[args.feature]
     else:
         if args.features is None:
             raise InputError("train-predict needs --features FILE or --preset paper")
         events, matrix = dataio.read_features(args.features)
-        if not 1 <= args.feature <= 14:
-            raise InputError(f"--feature must be in 1..14, got {args.feature}")
-        column = matrix[:, args.feature - 1]
+        column = _feature_column(matrix, args.feature)
         truth = {e: float(column[i]) for i, e in enumerate(events) if e > args.split}
         report, _ = pipeline.run_feature_experiment(
             events, column, truth, args.feature, args.split)
@@ -105,13 +120,12 @@ def _cmd_train_predict(args) -> int:
 
 def _cmd_warn(args) -> int:
     if args.preset == "paper":
-        _, t6 = dataio.fixtures()
-        series = t6.features[args.feature].y
+        series = _fixture_feature(args.feature).y
     else:
         if args.features is None:
             raise InputError("warn needs --features FILE or --preset paper")
-        events, matrix = dataio.read_features(args.features)
-        series = matrix[:, args.feature - 1]
+        _, matrix = dataio.read_features(args.features)
+        series = _feature_column(matrix, args.feature)
     report = pipeline.detect_warning(series, args.threshold, args.rapid_ratio)
     if report.triggered:
         print(f"WARNING triggered at event {report.trigger_event} "

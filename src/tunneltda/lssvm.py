@@ -86,8 +86,15 @@ def gram_matrix(kernel: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
     if kernel.kind == "linear":
         return X @ Z.T
-    sq = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-sq / (2.0 * kernel.sigma ** 2))
+    return _rbf(_squared_distances(X, Z), kernel.sigma)
+
+
+def _squared_distances(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    return ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _rbf(sq: np.ndarray, sigma: float) -> np.ndarray:
+    return np.exp(-sq / (2.0 * sigma ** 2))
 
 
 def _kkt_system(ts: TrainingSet, gamma: float, kernel: KernelSpec):
@@ -166,14 +173,83 @@ def kkt_residual(model: LssvmModel, ts: TrainingSet) -> float:
 
 def loo_squared_errors(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> np.ndarray:
     """Leave-one-out squared prediction errors, one per training sample."""
-    errs = np.empty(ts.m)
-    index = np.arange(ts.m)
-    for i in range(ts.m):
-        mask = index != i
-        sub = TrainingSet(ts.inputs[mask], ts.targets[mask])
-        model = train_regressor(sub, gamma, kernel)
-        errs[i] = (predict(model, ts.inputs[i]) - ts.targets[i]) ** 2
+    return _loo_grid(ts, [(gamma, kernel)])[0]
+
+
+def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarray:
+    """Exact leave-one-out squared errors for every (gamma, kernel) grid point.
+
+    Leaving sample i out of an LS-SVM changes its prediction at x_i by
+    exactly c_i / (A^-1)_ii, where A is the bordered KKT matrix of the full
+    set and c its solution (Cawley & Talbot, Fast exact leave-one-out
+    cross-validation of sparse least-squares support vector machines,
+    Neural Networks 2004). So one factorisation per grid point replaces m
+    retrains. The grid's matrices are stacked and share one eigh call,
+    A = V diag(lam) V^T, which gives the 2-norm condition number
+    max|lam| / min|lam|, the solution z = V diag(1/lam) V^T [0; y] and
+    diag(A^-1) = (V * V) @ (1/lam).
+
+    Each grid point, in grid order, gets the checks of _solve: gamma > 0,
+    the conditioning warning and a finite solution with a small KKT
+    residual. A zero or non-finite diagonal of A^-1 is a NumericalError
+    too. Returns a (len(grid), m) array.
+    """
+    for gamma, _ in grid:
+        if not gamma > 0:
+            raise InputError(f"gamma must be positive, got {gamma}")
+    if not grid:
+        raise InputError("hyperparameter grid is empty")
+    m = ts.m
+    sq = _squared_distances(ts.inputs, ts.inputs)
+    A = np.zeros((len(grid), m + 1, m + 1))
+    A[:, 0, 1:] = 1.0
+    A[:, 1:, 0] = 1.0
+    grams = {}
+    diag = np.arange(1, m + 1)
+    for g, (gamma, kernel) in enumerate(grid):
+        if kernel not in grams:
+            grams[kernel] = (_rbf(sq, kernel.sigma) if kernel.kind == "rbf"
+                             else gram_matrix(kernel, ts.inputs, ts.inputs))
+        A[g, 1:, 1:] = grams[kernel]
+        A[g, diag, diag] += 1.0 / gamma
+    rhs = np.concatenate(([0.0], ts.targets))
+    try:
+        lam, V = np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"KKT eigendecomposition failed: {exc}") from exc
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_lam = 1.0 / lam
+        z = V @ (inv_lam * (rhs @ V))[:, :, None]
+        inv_diag = ((V[:, 1:, :] ** 2) @ inv_lam[:, :, None])[:, :, 0]
+        errs = (z[:, 1:, 0] / inv_diag) ** 2
+        abs_lam = np.abs(lam)
+        cond = abs_lam.max(axis=1) / abs_lam.min(axis=1)
+        residual = (np.abs(A @ z - rhs[:, None]).max(axis=(1, 2))
+                    / max(1.0, np.abs(rhs).max()))
+    for g, (gamma, kernel) in enumerate(grid):
+        if cond[g] > CONDITION_WARN_THRESHOLD:
+            warnings.warn(
+                f"KKT system condition number {cond[g]:.3g} exceeds "
+                f"{CONDITION_WARN_THRESHOLD:.0e} at {_describe(gamma, kernel)}; leave-one-out "
+                "errors may be inaccurate (near-duplicate inputs or extreme gamma)",
+                ConditioningWarning,
+            )
+        if not np.isfinite(z[g]).all() or residual[g] > KKT_RESIDUAL_TOL:
+            raise NumericalError(
+                f"KKT solve failed at {_describe(gamma, kernel)}: relative residual "
+                f"{residual[g]:.3g} (condition {cond[g]:.3g})"
+            )
+        if not np.isfinite(errs[g]).all():  # c_i / (A^-1)_ii with a zero or non-finite diagonal
+            raise NumericalError(
+                f"leave-one-out failed at {_describe(gamma, kernel)}: the diagonal of the "
+                f"inverse KKT matrix is zero or not finite (condition {cond[g]:.3g})"
+            )
     return errs
+
+
+def _describe(gamma: float, kernel: KernelSpec) -> str:
+    sigma = f" sigma={kernel.sigma:g}" if kernel.kind == "rbf" else ""
+    return f"gamma={gamma:g}, {kernel.kind} kernel{sigma}"
 
 
 def select_hyperparameters(
@@ -183,14 +259,11 @@ def select_hyperparameters(
 ) -> tuple[float, KernelSpec, float]:
     """Grid search for the regressor: smallest mean LOO error wins.
 
-    Ties keep the earlier grid entry, so the search is deterministic.
-    Returns (gamma, kernel, loo_mse).
+    Ties keep the earlier grid entry (gamma-major, then sigma), so the
+    search is deterministic. Returns (gamma, kernel, loo_mse).
     """
-    best = None
-    for gamma in gamma_grid:
-        for sigma in sigma_grid:
-            kernel = KernelSpec("rbf", sigma)
-            mse = float(loo_squared_errors(ts, gamma, kernel).mean())
-            if best is None or mse < best[2]:
-                best = (gamma, kernel, mse)
-    return best
+    grid = [(gamma, KernelSpec("rbf", sigma)) for gamma in gamma_grid for sigma in sigma_grid]
+    mses = _loo_grid(ts, grid).mean(axis=1)
+    best = int(np.argmin(mses))  # the first of equal minima
+    gamma, kernel = grid[best]
+    return gamma, kernel, float(mses[best])

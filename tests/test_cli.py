@@ -121,3 +121,29 @@ def test_run_all_fixture_gate(tmp_path, capsys):
     assert (tmp_path / "bundle" / "experiment.json").exists()
     assert (tmp_path / "bundle" / "warning.json").exists()
     capsys.readouterr()
+
+
+def write_features_file(path, n_events=4):
+    rows = ["event," + ",".join(f"f{i}" for i in range(1, 15))]
+    for event in range(n_events):
+        rows.append(f"{event}," + ",".join(str(30.0 - event - 0.1 * i) for i in range(14)))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", [["warn"], ["train-predict", "--split", 2]],
+                         ids=["warn", "train-predict"])
+@pytest.mark.parametrize("feature", [0, 15, -1])
+def test_feature_out_of_range_is_input_error(tmp_path, capsys, command, feature):
+    feats = write_features_file(tmp_path / "features.csv")
+    assert run(command + ["--features", feats, "--feature", feature]) == 1
+    assert f"--feature must be in 1..14, got {feature}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["warn", "train-predict"])
+@pytest.mark.parametrize("feature", [3, 0, 15])
+def test_feature_missing_from_fixture_is_input_error(capsys, command, feature):
+    assert run([command, "--preset", "paper", "--feature", feature]) == 1
+    err = capsys.readouterr().err
+    assert f"--feature {feature} is not in the paper fixture" in err
+    assert "available features: 2, 8, 13, 14" in err
