@@ -30,8 +30,9 @@ def _cmd_compute_ph(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for event, b in zip(seq.events, barcodes):
         dataio.write_barcode(b, out_dir / pipeline.barcode_filename(event))
-    pipeline.write_summary(barcodes, out_dir / "summary.csv")
-    for e, b0, f8, f14 in pipeline.summary_rows(barcodes):
+    rows = pipeline.summary_rows(barcodes, feature_series(barcodes))
+    pipeline.write_summary(rows, out_dir / "summary.csv")
+    for e, b0, f8, f14 in rows:
         print(f"event {e:3d}: beta0@0={b0}  f8={f8:.6g}  f14={f14}")
     print(f"wrote {len(barcodes)} barcode files to {out_dir}")
     return 0
@@ -70,20 +71,23 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _feature_column(matrix, feature: int):
-    """Column of a 14-feature matrix by its 1-based feature number."""
-    if not 1 <= feature <= matrix.shape[1]:
-        raise InputError(f"--feature must be in 1..{matrix.shape[1]}, got {feature}")
-    return matrix[:, feature - 1]
-
-
-def _fixture_feature(feature: int) -> dataio.FeatureFixture:
-    _, t6 = dataio.fixtures()
-    if feature not in t6.features:
-        available = ", ".join(str(k) for k in sorted(t6.features))
-        raise InputError(f"--feature {feature} is not in the paper fixture; "
-                         f"available features: {available}")
-    return t6.features[feature]
+def _feature_source(args) -> tuple:
+    """(events, values, truth) of --feature; truth is the published held-out
+    values under --preset paper and None for a features file."""
+    if args.preset == "paper":
+        _, t6 = dataio.fixtures()
+        if args.feature not in t6.features:
+            available = ", ".join(str(k) for k in sorted(t6.features))
+            raise InputError(f"--feature {args.feature} is not in the paper fixture; "
+                             f"available features: {available}")
+        fx = t6.features[args.feature]
+        return list(range(len(fx.y))), fx.y, fx.j
+    if args.features is None:
+        raise InputError(f"{args.command} needs --features FILE or --preset paper")
+    events, matrix = dataio.read_features(args.features)
+    if not 1 <= args.feature <= matrix.shape[1]:
+        raise InputError(f"--feature must be in 1..{matrix.shape[1]}, got {args.feature}")
+    return events, matrix[:, args.feature - 1], None
 
 
 def _print_experiment(report: pipeline.ExperimentReport) -> None:
@@ -99,18 +103,11 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
 
 
 def _cmd_train_predict(args) -> int:
-    if args.preset == "paper":
-        _fixture_feature(args.feature)
-        reports = pipeline.run_table6_experiment((args.feature,), args.split)
-        report = reports[args.feature]
-    else:
-        if args.features is None:
-            raise InputError("train-predict needs --features FILE or --preset paper")
-        events, matrix = dataio.read_features(args.features)
-        column = _feature_column(matrix, args.feature)
-        truth = {e: float(column[i]) for i, e in enumerate(events) if e > args.split}
-        report, _ = pipeline.run_feature_experiment(
-            events, column, truth, args.feature, args.split)
+    events, values, truth = _feature_source(args)
+    if truth is None:  # a features file: the held-out events' own values
+        truth = {e: float(v) for e, v in zip(events, values) if e > args.split}
+    report, _ = pipeline.run_feature_experiment(
+        events, values, truth, args.feature, args.split)
     _print_experiment(report)
     if args.out:
         Path(args.out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -118,20 +115,23 @@ def _cmd_train_predict(args) -> int:
     return 0
 
 
-def _cmd_warn(args) -> int:
-    if args.preset == "paper":
-        series = _fixture_feature(args.feature).y
-    else:
-        if args.features is None:
-            raise InputError("warn needs --features FILE or --preset paper")
-        _, matrix = dataio.read_features(args.features)
-        series = _feature_column(matrix, args.feature)
-    report = pipeline.detect_warning(series, args.threshold, args.rapid_ratio)
-    if report.triggered:
-        print(f"WARNING triggered at event {report.trigger_event} "
-              f"({report.criterion} criterion)")
-    else:
+def _print_warning(report: pipeline.WarningReport) -> None:
+    """The warning decision; a trigger before any blast is explained."""
+    if not report.triggered:
         print("no warning triggered")
+        return
+    print(f"WARNING triggered at event {report.trigger_event} "
+          f"({report.criterion} criterion)")
+    if report.trigger_event == 0 and report.criterion == "threshold":
+        print(f"note: the series starts below the threshold ({report.series[0]:.6g} < "
+              f"{report.threshold:.6g}); the default threshold {pipeline.DEFAULT_THRESHOLD} "
+              "is in the paper's units, so data on another scale needs its own --threshold")
+
+
+def _cmd_warn(args) -> int:
+    _, series, _ = _feature_source(args)
+    report = pipeline.detect_warning(series, args.threshold, args.rapid_ratio)
+    _print_warning(report)
     for note in report.notes:
         print(f"note: {note}")
     if args.out:
@@ -166,8 +166,7 @@ def _cmd_loadcalc(args) -> int:
         t = k / 2000.0  # 0.5 ms sampling
         rows.append((t, blastload.load_at(profile, t)))
     if args.out:
-        lines = ["t_s,pressure_pa"] + [f"{t!r},{p!r}" for t, p in rows]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        dataio.write_table(args.out, "t_s,pressure_pa", rows)
         print(f"wrote {len(rows)} samples to {args.out}")
     else:
         for t, p in rows:
@@ -189,27 +188,18 @@ def _cmd_synth(args) -> int:
 def _cmd_run_all(args) -> int:
     if args.preset == "paper":
         seq = None
-        use_fixture = True
     elif args.manifest:
         seq = dataio.load_sequence(args.manifest)
-        use_fixture = False
     else:
         cfg = synth.ScenarioConfig(seed=args.seed)
         seq = synth.generate_sequence(cfg)
-        use_fixture = False
-    written = pipeline.run_all(
+    written, warning = pipeline.run_all(
         seq, args.out_dir, max_filtration=args.max_filtration, split=args.split,
-        threshold=args.threshold, rapid_change_ratio=args.rapid_ratio,
-        use_fixture=use_fixture)
+        threshold=args.threshold, rapid_change_ratio=args.rapid_ratio)
     for key, path in written.items():
         print(f"{key}: {path}")
-    warning = json.loads((Path(args.out_dir) / "warning.json").read_text())
-    if warning["triggered"]:
-        print(f"WARNING triggered at event {warning['trigger_event']} "
-              f"({warning['criterion']} criterion)")
-        if args.gate:
-            return 3
-    return 0
+    _print_warning(warning)
+    return 3 if warning.triggered and args.gate else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

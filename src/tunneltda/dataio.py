@@ -6,15 +6,20 @@ Formats (all plain text, numbers written with full round-trip precision):
             relative to the manifest), optional ``metadata``
   barcode   CSV ``dim,birth,death`` with ``inf`` for open deaths, preceded
             by a ``# max_filtration=...`` comment line
-  features  CSV, header ``event,f1..f14``
+  features  CSV, header ``event,f1..f14``; the event column runs 0..n-1 in
+            file order
   model     JSON with kernel spec, gamma, standardization constants,
             coefficients, bias, and training inputs
+  summary   CSV ``event,beta0_at_0,f8,f14`` (``summary.csv``)
+  plots     CSV ``event,f8`` (``plot_f8_series.csv``) and ``event,f14``
+            (``plot_hole_counts.csv``)
+
+Every CSV table goes through ``write_table`` and ``_read_table``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,43 +32,77 @@ from .topology import Barcode, PersistencePair, PointCloud
 
 
 # ---------------------------------------------------------------------------
+# CSV tables
+
+def _cell(v) -> str:
+    if isinstance(v, int):
+        return str(v)
+    if isinstance(v, str):
+        return v
+    return repr(float(v))
+
+
+def write_table(path: str | Path, header: str, rows, preamble: str | None = None) -> None:
+    """Optional preamble line, header, one line per row: ints as written,
+    strings as is, other numbers as repr(float(v)) (so inf and -0.0 survive)."""
+    lines = [header] if preamble is None else [preamble, header]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _read_table(path: Path, kind: str, header: str, n_fields: int,
+                preamble: str | None = None,
+                empty_ok: bool = False) -> tuple[str | None, list[tuple[int, list[str]]]]:
+    """(rest of the preamble line or None, non-blank rows as (line number, fields))."""
+    if not path.exists():
+        raise InputError(f"{kind} file not found: {path}")
+    lines = path.read_text().splitlines()
+    value = None
+    if preamble is not None:
+        if not lines or not lines[0].startswith(preamble):
+            raise InputError(f"{path}:1: missing '{preamble}' line")
+        value = lines.pop(0)[len(preamble):]
+    header_line = 1 if preamble is None else 2
+    if not lines or lines[0].strip() != header:
+        raise InputError(f"{path}:{header_line}: missing header '{header}'")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=header_line + 1):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_fields:
+            raise InputError(f"{path}:{lineno}: expected {n_fields} comma-separated fields")
+        rows.append((lineno, parts))
+    if not rows and not empty_ok:
+        raise InputError(f"{path}: no data rows")
+    return value, rows
+
+
+# ---------------------------------------------------------------------------
 # snapshots
 
 SNAPSHOT_HEADER = "block_id,x,y"
 
 
 def write_snapshot(pc: PointCloud, path: str | Path) -> None:
-    lines = [SNAPSHOT_HEADER]
-    lines += [f"{bid},{float(x)!r},{float(y)!r}" for bid, (x, y) in zip(pc.ids, pc.xy)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, SNAPSHOT_HEADER,
+                ((str(bid), x, y) for bid, (x, y) in zip(pc.ids, pc.xy)))
 
 
 def load_snapshot(path: str | Path) -> PointCloud:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"snapshot file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != SNAPSHOT_HEADER:
-        raise InputError(f"{path}:1: missing header '{SNAPSHOT_HEADER}'")
+    _, table = _read_table(path, "snapshot", SNAPSHOT_HEADER, 3)
     rows = []
     seen = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 comma-separated fields")
-        bid = parts[0].strip()
+    for lineno, (bid, x, y) in table:
+        bid = bid.strip()
         if bid in seen:
             raise InputError(f"{path}:{lineno}: duplicate block_id {bid!r}")
         seen.add(bid)
         try:
-            x, y = float(parts[1]), float(parts[2])
+            rows.append((bid, float(x), float(y)))
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric coordinate") from None
-        rows.append((bid, x, y))
-    if not rows:
-        raise InputError(f"{path}: no data rows")
     return PointCloud.from_rows(rows)
 
 
@@ -142,38 +181,28 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
 # ---------------------------------------------------------------------------
 # barcodes
 
+BARCODE_PREAMBLE = "# max_filtration="
+BARCODE_HEADER = "dim,birth,death"
+
+
 def write_barcode(b: Barcode, path: str | Path) -> None:
-    lines = [f"# max_filtration={float(b.max_filtration)!r}", "dim,birth,death"]
-    for p in b.pairs:
-        death = "inf" if math.isinf(p.death) else repr(float(p.death))
-        lines.append(f"{p.dim},{float(p.birth)!r},{death}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, BARCODE_HEADER,
+                ((int(p.dim), float(p.birth), float(p.death)) for p in b.pairs),
+                preamble=BARCODE_PREAMBLE + repr(float(b.max_filtration)))
 
 
 def read_barcode(path: str | Path) -> Barcode:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"barcode file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or not lines[0].startswith("# max_filtration="):
-        raise InputError(f"{path}:1: missing '# max_filtration=' line")
+    cap, table = _read_table(path, "barcode", BARCODE_HEADER, 3,
+                             preamble=BARCODE_PREAMBLE, empty_ok=True)
     try:
-        cap = float(lines[0].split("=", 1)[1])
+        cap = float(cap)
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
-    if len(lines) < 2 or lines[1].strip() != "dim,birth,death":
-        raise InputError(f"{path}:2: missing header 'dim,birth,death'")
     pairs = []
-    for lineno, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InputError(f"{path}:{lineno}: expected 3 fields")
+    for lineno, (dim, birth, death) in table:
         try:
-            dim = int(parts[0])
-            birth = float(parts[1])
-            death = math.inf if parts[2].strip() == "inf" else float(parts[2])
+            dim, birth, death = int(dim), float(birth), float(death)
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed persistence pair") from None
         if death < birth:
@@ -190,39 +219,27 @@ FEATURES_HEADER = "event," + ",".join(f"f{i}" for i in range(1, 15))
 
 def write_features(events: list[int], vectors: list[FeatureVector],
                    path: str | Path) -> None:
-    lines = [FEATURES_HEADER]
-    for event, vec in zip(events, vectors):
-        cells = [str(event)]
-        for i in range(1, 15):
-            v = getattr(vec, f"f{i}")
-            cells.append(str(v) if isinstance(v, int) else repr(float(v)))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_table(path, FEATURES_HEADER,
+                ([int(event)] + [getattr(vec, f"f{i}") for i in range(1, 15)]
+                 for event, vec in zip(events, vectors)))
 
 
 def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
-    """Returns (events, matrix) where matrix has one row of f1..f14 per event."""
+    """Returns (events, matrix) where matrix has one row of f1..f14 per event.
+
+    The event column must run 0..n-1 in file order."""
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"features file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != FEATURES_HEADER:
-        raise InputError(f"{path}:1: missing header '{FEATURES_HEADER}'")
-    events, rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 15:
-            raise InputError(f"{path}:{lineno}: expected 15 fields")
+    _, table = _read_table(path, "features", FEATURES_HEADER, 15)
+    rows = []
+    for lineno, parts in table:
         try:
-            events.append(int(parts[0]))
+            event = int(parts[0])
             rows.append([float(v) for v in parts[1:]])
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed feature row") from None
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    return events, np.array(rows)
+        if event != len(rows) - 1:
+            raise InputError(f"{path}:{lineno}: event {event} where {len(rows) - 1} was expected")
+    return list(range(len(rows))), np.array(rows)
 
 
 # ---------------------------------------------------------------------------

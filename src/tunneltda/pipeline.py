@@ -57,13 +57,11 @@ def compute_barcodes(seq: SnapshotSequence,
     return barcodes
 
 
-def summary_rows(barcodes: list[Barcode]) -> list[tuple[int, int, float, int]]:
+def summary_rows(barcodes: list[Barcode],
+                 vectors: list[features.FeatureVector]) -> list[tuple[int, int, float, int]]:
     """Per event: (event, components at scale 0, longest hole bar, hole count)."""
-    rows = []
-    for event, b in enumerate(barcodes):
-        vec = features.extract_features(b)
-        rows.append((event, betti_numbers(b, 0.0)[0], vec.f8, vec.f14))
-    return rows
+    return [(event, betti_numbers(b, 0.0)[0], vec.f8, vec.f14)
+            for event, (b, vec) in enumerate(zip(barcodes, vectors))]
 
 
 SUMMARY_HEADER = "event,beta0_at_0,f8,f14"
@@ -73,14 +71,8 @@ def barcode_filename(event: int) -> str:
     return f"barcode_{event:03d}.csv"
 
 
-def _write_plot_series(path: str | Path, header: str, rows) -> None:
-    lines = [header] + [",".join(str(c) if isinstance(c, int) else repr(float(c))
-                                 for c in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_summary(barcodes: list[Barcode], path: str | Path) -> None:
-    _write_plot_series(path, SUMMARY_HEADER, summary_rows(barcodes))
+def write_summary(rows: list[tuple[int, int, float, int]], path: str | Path) -> None:
+    dataio.write_table(path, SUMMARY_HEADER, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -217,18 +209,20 @@ def run_feature_experiment(
     ), predictor
 
 
+def _paper_source() -> tuple[list[int], dict[int, np.ndarray], dict[int, dict[int, float]]]:
+    """The bundled published series: events, values and held-out truth by feature."""
+    _, t6 = dataio.fixtures()
+    return (list(range(21)), {k: np.array(fx.y) for k, fx in t6.features.items()},
+            {k: fx.j for k, fx in t6.features.items()})
+
+
 def run_table6_experiment(feature_indices: tuple[int, ...] = EXPERIMENT_FEATURES,
                           split: int = DEFAULT_SPLIT) -> dict[int, ExperimentReport]:
     """Fixture-driven experiment: train on the published series, score against
     the published held-out values."""
-    _, t6 = dataio.fixtures()
-    events = list(range(21))
-    reports = {}
-    for k in feature_indices:
-        fx = t6.features[k]
-        report, _ = run_feature_experiment(events, np.array(fx.y), fx.j, k, split)
-        reports[k] = report
-    return reports
+    events, series, truth = _paper_source()
+    return {k: run_feature_experiment(events, series[k], truth[k], k, split)[0]
+            for k in feature_indices}
 
 
 # ---------------------------------------------------------------------------
@@ -318,27 +312,21 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
             max_filtration: float = DEFAULT_MAX_FILTRATION,
             split: int = DEFAULT_SPLIT,
             threshold: float | None = DEFAULT_THRESHOLD,
-            rapid_change_ratio: float = DEFAULT_RAPID_RATIO,
-            use_fixture: bool = False) -> dict:
+            rapid_change_ratio: float = DEFAULT_RAPID_RATIO) -> tuple[dict, WarningReport]:
     """Run every stage and write the full bundle under out_dir.
 
-    With use_fixture the persistence stages are skipped and the published
-    feature series drives prediction and warning; otherwise seq supplies the
-    snapshots. Returns a manifest of what was written.
+    seq supplies the snapshots, and the bundle also holds their barcodes,
+    features, summary and models; seq None means the bundled paper series.
+    Returns a manifest of what was written and the warning report.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
 
-    if use_fixture:
-        _, t6 = dataio.fixtures()
-        with _stage("train-predict"):
-            reports = run_table6_experiment(split=split)
-        f8_series = t6.features[8].y
-        f14_series = t6.features[14].y
+    if seq is None:
+        events, series, truth = _paper_source()
+        model_dir = None
     else:
-        if seq is None:
-            raise InputError("run_all needs a snapshot sequence unless use_fixture is set")
         with _stage("compute-ph"):
             barcodes = compute_barcodes(seq, max_filtration)
         barcode_dir = out_dir / "barcodes"
@@ -353,23 +341,24 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
         dataio.write_features(events, vectors, out_dir / "features.csv")
         written["features"] = str(out_dir / "features.csv")
 
-        write_summary(barcodes, out_dir / "summary.csv")
+        write_summary(summary_rows(barcodes, vectors), out_dir / "summary.csv")
         written["summary"] = str(out_dir / "summary.csv")
 
         matrix = features.feature_matrix(vectors)
-        reports = {}
-        with _stage("train-predict"):
-            for k in EXPERIMENT_FEATURES:
-                column = matrix[:, k - 1]
-                truth = {e: float(column[i]) for i, e in enumerate(events) if e > split}
-                reports[k], predictor = run_feature_experiment(
-                    events, column, truth, k, split)
-                model_dir = out_dir / "models"
+        series = {k: matrix[:, k - 1] for k in EXPERIMENT_FEATURES}
+        truth = {k: {e: float(v) for e, v in zip(events, column) if e > split}
+                 for k, column in series.items()}
+        model_dir = out_dir / "models"
+
+    reports = {}
+    with _stage("train-predict"):
+        for k in EXPERIMENT_FEATURES:
+            reports[k], predictor = run_feature_experiment(
+                events, series[k], truth[k], k, split)
+            if model_dir is not None:
                 model_dir.mkdir(exist_ok=True)
                 dataio.write_model(predictor.model, predictor.x_mean,
                                    predictor.x_std, model_dir / f"model_f{k}.json")
-        f8_series = tuple(matrix[:, 7])
-        f14_series = tuple(matrix[:, 13])
 
     experiment_doc = {str(k): reports[k].to_dict() for k in sorted(reports)}
     (out_dir / "experiment.json").write_text(
@@ -377,15 +366,14 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
     written["experiment"] = str(out_dir / "experiment.json")
 
     with _stage("warn"):
-        warning = detect_warning(f8_series, threshold, rapid_change_ratio)
+        warning = detect_warning(series[8], threshold, rapid_change_ratio)
     (out_dir / "warning.json").write_text(
         json.dumps(warning.to_dict(), indent=2, sort_keys=True) + "\n")
     written["warning"] = str(out_dir / "warning.json")
 
-    _write_plot_series(out_dir / "plot_f8_series.csv", "event,f8",
-                       list(enumerate(f8_series)))
-    _write_plot_series(out_dir / "plot_hole_counts.csv", "event,f14",
-                       [(e, int(v)) for e, v in enumerate(f14_series)])
+    dataio.write_table(out_dir / "plot_f8_series.csv", "event,f8", enumerate(series[8]))
+    dataio.write_table(out_dir / "plot_hole_counts.csv", "event,f14",
+                       ((e, int(v)) for e, v in enumerate(series[14])))
     written["plot_f8"] = str(out_dir / "plot_f8_series.csv")
     written["plot_holes"] = str(out_dir / "plot_hole_counts.csv")
-    return written
+    return written, warning

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tunneltda import dataio, features, pipeline
 from tunneltda.cli import main
 
 
@@ -58,6 +59,7 @@ def test_warn_gate_exit_code_on_fixture(capsys):
     out = capsys.readouterr().out
     assert "event 5" in out
     assert "threshold" in out
+    assert "starts below" not in out
 
 
 def test_warn_without_gate_returns_zero(capsys):
@@ -147,3 +149,45 @@ def test_feature_missing_from_fixture_is_input_error(capsys, command, feature):
     err = capsys.readouterr().err
     assert f"--feature {feature} is not in the paper fixture" in err
     assert "available features: 2, 8, 13, 14" in err
+
+
+def test_warn_rejects_shifted_event_column(tmp_path, capsys):
+    # a features file whose events run 100..120: the row index is not the
+    # event, so a warning "at event 10" would name the wrong blast
+    feats = tmp_path / "features.csv"
+    rows = ["event," + ",".join(f"f{i}" for i in range(1, 15))]
+    rows += [f"{100 + i}," + ",".join(str(20.0 - i) for _ in range(14)) for i in range(21)]
+    feats.write_text("\n".join(rows) + "\n")
+    assert run(["warn", "--features", feats, "--threshold", 17, "--gate"]) == 1
+    assert ":2: event 100 where 0 was expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["warn"], ["run-all"]])
+def test_trigger_at_event_zero_is_explained_on_stdout(tmp_path, capsys, command):
+    out = tmp_path / "bundle"
+    extra = ["--out-dir", out] if command == ["run-all"] else ["--out", out / "warning.json"]
+    out.mkdir()
+    assert run(command + ["--preset", "paper", "--threshold", 30, "--gate"] + extra) == 3
+    stdout = capsys.readouterr().out
+    assert "WARNING triggered at event 0 (threshold criterion)" in stdout
+    assert "the series starts below the threshold (21.82 < 30)" in stdout
+    assert "default threshold 21.68 is in the paper's units" in stdout
+    _, t6 = dataio.fixtures()
+    report = pipeline.detect_warning(t6.features[8].y, 30.0)
+    assert (out / "warning.json").read_text() == \
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_compute_ph_extracts_features_once_per_event(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", 3,
+         "--ring-radius", 6, "--out-dir", data])
+    capsys.readouterr()
+    calls = []
+    extract = features.extract_features
+    monkeypatch.setattr(features, "extract_features",
+                        lambda *a, **k: calls.append(1) or extract(*a, **k))
+    assert run(["compute-ph", "--manifest", data / "manifest.json",
+                "--out-dir", tmp_path / "barcodes"]) == 0
+    assert len(calls) == 4
+    assert len(capsys.readouterr().out.splitlines()) == 5

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunneltda import dataio
 from tunneltda.errors import InputError
-from tunneltda.features import extract_features
+from tunneltda.features import FeatureVector, extract_features
 from tunneltda.lssvm import KernelSpec, LssvmModel
-from tunneltda.topology import PersistencePair
+from tunneltda.topology import Barcode, PersistencePair, PointCloud
 
 from conftest import INF, bars, make_cloud
 
@@ -182,6 +183,123 @@ def test_features_header_checked(tmp_path):
     path.write_text("event,f1\n0,1.0\n")
     with pytest.raises(InputError, match="missing header"):
         dataio.read_features(path)
+
+
+def write_feature_rows(path, events, blank_after=None):
+    rows = [dataio.FEATURES_HEADER]
+    for i, event in enumerate(events):
+        rows.append(f"{event}," + ",".join(str(20.0 - i - 0.5 * k) for k in range(14)))
+        if i == blank_after:
+            rows.append("")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("events, blank_after, lineno, message", [
+    (range(100, 121), None, 2, "event 100 where 0"),  # shifted: row 10 is not event 10
+    ([0, 1, 1, 2], None, 4, "event 1 where 2"),       # duplicated row
+    ([0, 1, 3, 4], None, 4, "event 3 where 2"),       # gap
+    ([1, 0, 2], None, 2, "event 1 where 0"),          # out of file order
+    ([0, 1, 5], 1, 5, "event 5 where 2"),             # blank lines still count as lines
+])
+def test_features_event_column_must_run_from_zero(tmp_path, events, blank_after, lineno,
+                                                  message):
+    path = write_feature_rows(tmp_path / "features.csv", events, blank_after)
+    with pytest.raises(InputError, match=f":{lineno}: {message} was expected"):
+        dataio.read_features(path)
+
+
+def test_features_blank_lines_are_not_events(tmp_path):
+    path = write_feature_rows(tmp_path / "features.csv", [0, 1, 2], blank_after=0)
+    events, matrix = dataio.read_features(path)
+    assert events == [0, 1, 2] and matrix.shape == (3, 14)
+
+
+# ---------------------------------------------------------------------------
+# write -> read -> write through the shared CSV codec: exact values (bit for
+# bit, so -0.0 stays negative) and identical bytes the second time
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+non_negative = st.one_of(st.just(-0.0), st.floats(0.0, 1e300))
+block_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=8)
+
+
+def exact(values):
+    return [repr(float(v)) for v in values]
+
+
+def round_trip(write, read, value, path):
+    """Write value, read it back, write what was read; returns (read, bytes equal)."""
+    write(value, path)
+    first = path.read_bytes()
+    back = read(path)
+    write(back, path)
+    return back, path.read_bytes() == first
+
+
+@pytest.fixture(scope="module")
+def codec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("codec")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(block_ids, finite, finite), min_size=1, max_size=20,
+                unique_by=lambda row: row[0]))
+def test_snapshot_codec_round_trip(codec_dir, rows):
+    cloud = PointCloud.from_rows(rows)
+    back, same_bytes = round_trip(dataio.write_snapshot, dataio.load_snapshot,
+                                  cloud, codec_dir / "snapshot.csv")
+    assert back.ids == cloud.ids
+    assert exact(back.xy.ravel()) == exact(cloud.xy.ravel())
+    assert same_bytes
+
+
+@st.composite
+def pairs(draw):
+    birth = draw(non_negative)
+    death = draw(st.one_of(st.just(math.inf), st.just(birth),
+                           st.floats(0.0, 1e300).map(lambda length: birth + length)))
+    return PersistencePair(draw(st.sampled_from((0, 1))), birth, death)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pairs(), max_size=20), st.one_of(st.just(math.inf), st.floats(1e-3, 1e6)))
+def test_barcode_codec_round_trip(codec_dir, bars, cap):
+    barcode = Barcode(tuple(bars), cap)
+    back, same_bytes = round_trip(dataio.write_barcode, dataio.read_barcode,
+                                  barcode, codec_dir / "barcode.csv")
+    assert [p.dim for p in back.pairs] == [p.dim for p in barcode.pairs]
+    assert exact(v for p in back.pairs for v in p[1:]) == \
+        exact(v for p in barcode.pairs for v in p[1:])
+    assert repr(back.max_filtration) == repr(float(cap))
+    assert same_bytes
+
+
+feature_vectors = st.builds(
+    lambda values, counts: FeatureVector(*values, *counts, max_filtration=1.0),
+    st.lists(finite, min_size=12, max_size=12),
+    st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
+
+
+def write_vectors(vectors, path):
+    dataio.write_features(list(range(len(vectors))), vectors, path)
+
+
+def read_vectors(path):
+    events, matrix = dataio.read_features(path)
+    assert events == list(range(len(matrix)))
+    return [FeatureVector(*row[:12], int(row[12]), int(row[13]), max_filtration=1.0)
+            for row in matrix.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(feature_vectors, min_size=1, max_size=10))
+def test_features_codec_round_trip(codec_dir, vectors):
+    back, same_bytes = round_trip(write_vectors, read_vectors, vectors,
+                                  codec_dir / "features.csv")
+    assert [exact(v.as_array()) for v in back] == [exact(v.as_array()) for v in vectors]
+    assert [(v.f13, v.f14) for v in back] == [(v.f13, v.f14) for v in vectors]
+    assert same_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tunneltda import dataio, pipeline
+from tunneltda import dataio, features, pipeline
 from tunneltda.errors import InputError
 from tunneltda.pipeline import (FeaturePredictor, detect_warning, run_all,
                                 run_feature_experiment, run_table6_experiment)
@@ -145,10 +146,13 @@ def small_scenario():
 
 def test_run_all_fixture_mode_reproduces_stage_results(tmp_path):
     out = tmp_path / "bundle"
-    run_all(None, out, use_fixture=True)
+    written, report = run_all(None, out)
     experiment = json.loads((out / "experiment.json").read_text())
     warning = json.loads((out / "warning.json").read_text())
     assert warning["triggered"] and warning["trigger_event"] == 5
+    assert warning == report.to_dict()
+    assert sorted(Path(p).name for p in written.values()) == [
+        "experiment.json", "plot_f8_series.csv", "plot_hole_counts.csv", "warning.json"]
     assert warning["at_threshold_events"] == [4]
     direct = run_table6_experiment()
     for k in ("2", "8", "13", "14"):
@@ -201,9 +205,21 @@ def test_run_all_deterministic_bytes(tmp_path):
         assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
 
 
+def test_run_all_extracts_features_once_per_event(tmp_path, monkeypatch):
+    seq = small_scenario()
+    calls = []
+    extract = features.extract_features
+    monkeypatch.setattr(features, "extract_features",
+                        lambda *a, **k: calls.append(1) or extract(*a, **k))
+    run_all(seq, tmp_path / "bundle", max_filtration=25.0, split=5, threshold=None)
+    assert len(calls) == len(seq)
+
+
 def test_run_all_requires_input(tmp_path):
-    with pytest.raises(InputError):
-        run_all(None, tmp_path / "x", use_fixture=False)
+    # seq None is the bundled paper series; a split at its last event
+    # leaves nothing to forecast
+    with pytest.raises(InputError, match="no test events"):
+        run_all(None, tmp_path / "x", split=20)
 
 
 def test_stage_attribution_in_errors(tmp_path):
