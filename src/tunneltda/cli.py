@@ -71,9 +71,18 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _reject_with_preset(args, *names: str) -> None:
+    """--preset paper replaces these inputs, so giving one as well is an error."""
+    if args.preset == "paper":
+        given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+        if given:
+            raise InputError(f"--preset paper cannot be combined with {', '.join(given)}")
+
+
 def _feature_source(args) -> tuple:
     """(events, values, truth) of --feature; truth is the published held-out
     values under --preset paper and None for a features file."""
+    _reject_with_preset(args, "features")
     if args.preset == "paper":
         _, t6 = dataio.fixtures()
         if args.feature not in t6.features:
@@ -142,20 +151,21 @@ def _cmd_warn(args) -> int:
     return 0
 
 
+LOADCALC_GEOMETRY = ("radius", "spacing", "charge_density", "detonation_velocity",
+                     "uncoupling", "enlargement")
+
+
 def _cmd_loadcalc(args) -> int:
+    _reject_with_preset(args, *LOADCALC_GEOMETRY)
     if args.preset == "paper":
         load = blastload.paper_preset()
     else:
-        required = ("radius", "spacing", "charge_density", "detonation_velocity",
-                    "uncoupling", "enlargement")
-        missing = [n for n in required if getattr(args, n) is None]
+        missing = [n for n in LOADCALC_GEOMETRY if getattr(args, n) is None]
         if missing:
             raise InputError(
                 "loadcalc needs --preset paper or all of: "
                 + ", ".join("--" + n.replace("_", "-") for n in missing))
-        cfg = blastload.BlastConfig(args.radius, args.spacing, args.charge_density,
-                                    args.detonation_velocity, args.uncoupling,
-                                    args.enlargement)
+        cfg = blastload.BlastConfig(*(getattr(args, n) for n in LOADCALC_GEOMETRY))
         load = blastload.calibrated_from_config(cfg)
     profile = load.profile
     print(f"single-hole peak P_m = {load.single_hole_peak!r} Pa")
@@ -186,6 +196,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
+    _reject_with_preset(args, "manifest")
     if args.preset == "paper":
         seq = None
     elif args.manifest:

@@ -19,7 +19,9 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_MAX_FILTRATION = 30.0
-TRIANGLE_CHUNK = 1 << 18  # candidate (edge, vertex) cells examined per step
+# Triangle candidates a filtration build may enumerate; ~1.4 GiB at its peak
+# (see build_vr_filtration).
+MAX_TRIANGLE_CANDIDATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -244,12 +246,15 @@ class Barcode:
 
 
 def compute_distance_matrix(pc: PointCloud) -> DistanceMatrix:
-    """Pairwise Euclidean distances between block centroids."""
-    diff = pc.xy[:, None, :] - pc.xy[None, :, :]
-    d = np.sqrt((diff ** 2).sum(axis=-1))
-    d = (d + d.T) / 2.0  # exact symmetry despite rounding
-    np.fill_diagonal(d, 0.0)
-    return DistanceMatrix(d)
+    """Pairwise Euclidean distances between block centroids.
+
+    (a - b)^2 == (b - a)^2 exactly, so the matrix is exactly symmetric with
+    a zero diagonal, with no symmetrising pass.
+    """
+    x, y = pc.xy[:, 0], pc.xy[:, 1]
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    return DistanceMatrix(np.sqrt(dx * dx + dy * dy))
 
 
 def build_vr_filtration(
@@ -263,34 +268,66 @@ def build_vr_filtration(
     endpoints; a triangle enters at its longest edge. Simplices whose value
     exceeds the cap are omitted. The result holds only arrays, no
     per-simplex objects.
+
+    Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
+    k > j of j, as a candidate that is kept when (i, k) is an edge too.
+    Triangles are ordered by the dense rank of their longest edge's value,
+    held in the smallest unsigned type, so the only float sort is that of
+    the edges and the triangle sort is a radix sort while ranks fit 16 bits.
+
+    The candidates are counted before any is built, and more than
+    MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M) raise InputError. With a
+    cap covering the cloud every candidate is a triangle, and the build
+    peaks at about 85 bytes per triangle (the reduction that follows at
+    about 87, the filtration's own arrays included), so the limit keeps
+    both under about 1.4 GiB; 2 GiB would be passed near 25M.
     """
     if not max_filtration > 0:
         raise InputError(f"max_filtration must be positive, got {max_filtration}")
     if max_dim != 2:
         raise InputError("only max_dim=2 is supported")
-    d = dm.d
-    within = np.triu(d <= max_filtration, 1)
-    # np.nonzero lists pairs and triples in lexicographic order, so a stable
-    # sort by value gives the (value, vertices) order.
-    i, j = np.nonzero(within)
-    edges = np.column_stack([i, j])
+    d, n = dm.d, dm.n
+    # np.nonzero lists the edges in (i, j) order. The upper neighbours of v
+    # are then j[start[v]:start[v + 1]], each at the index of edge (v, k).
+    i, j = np.nonzero(np.triu(d <= max_filtration, 1))
+    m = len(i)
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(i, minlength=n), out=start[1:])
+    counts = start[j + 1] - start[j]
+    candidates = int(counts.sum())
+    if candidates > MAX_TRIANGLE_CANDIDATES:
+        raise InputError(
+            f"{n} blocks at max_filtration {max_filtration:g} give {candidates} triangle "
+            f"candidates, above the limit of {MAX_TRIANGLE_CANDIDATES}; lower the cap")
+    # A stable sort by value gives the (value, vertices) order.
     edge_values = d[i, j]
     order = np.argsort(edge_values, kind="stable")
-    # Triangle (i, j, k) for each edge (i, j) and each k > j within the cap of
-    # both. Edges go in chunks of at most TRIANGLE_CHUNK candidate cells, so
-    # memory follows the triangles found, never n^3.
-    rows = max(1, TRIANGLE_CHUNK // max(dm.n, 1))
-    blocks = [np.empty((0, 3), dtype=np.intp)]
-    for lo in range(0, len(i), rows):
-        ci, cj = i[lo:lo + rows], j[lo:lo + rows]
-        r, k = np.nonzero(within[ci] & within[cj])
-        blocks.append(np.column_stack([ci[r], cj[r], k]))
-    tris = np.concatenate(blocks)
-    a, b, c = tris.T
-    tri_values = np.maximum(np.maximum(d[a, b], d[a, c]), d[b, c])
-    tri_order = np.argsort(tri_values, kind="stable")
-    return Filtration.from_arrays(dm.n, edges[order], edge_values[order],
-                                  tris[tri_order], tri_values[tri_order], max_filtration)
+    values = edge_values[order]
+    # rank[e]: 1 + the number of distinct edge values below edge e's, and
+    # ranks[a, b] that of edge (a, b), 0 where (a, b) is not an edge.
+    # values[new] are the distinct values, so a rank r stands for
+    # values[new][r - 1].
+    new = np.ones(m, dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    rank_type = np.min_scalar_type(m)
+    rank = np.empty(m, dtype=rank_type)
+    rank[order] = np.cumsum(new, dtype=rank_type)
+    ranks = np.zeros((n, n), dtype=rank_type)
+    ranks[i, j] = rank
+    # Candidate c joins edge ij[c] = (i, j) and edge jk[c] = (j, k), in
+    # lexicographic (i, j, k) order.
+    ij = np.repeat(np.arange(m), counts)
+    jk = np.repeat(start[j] - (np.cumsum(counts) - counts), counts)
+    jk += np.arange(candidates)
+    ik = ranks[i[ij], j[jk]]
+    hit = np.flatnonzero(ik)
+    ij, jk = ij[hit], jk[hit]
+    key = np.maximum(np.maximum(rank[ij], rank[jk]), ik[hit])
+    tri_order = np.argsort(key, kind="stable")
+    ij, jk = ij[tri_order], jk[tri_order]
+    tris = np.column_stack([i[ij], j[ij], j[jk]])
+    return Filtration.from_arrays(n, np.column_stack([i, j])[order], values,
+                                  tris, values[new][key[tri_order] - 1], max_filtration)
 
 
 def boundary(s: FiltSimplex) -> Chain:
@@ -374,19 +411,22 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     pairs += [PersistencePair(0, 0.0, math.inf)] * components
 
     # Facets of each triangle as edge indices, and the cofaces of each edge
-    # as ascending triangle indices: cofaces[start[e]:start[e + 1]].
-    edge_index = np.full((n, n), -1, dtype=np.intp)
+    # as ascending triangle indices: cofaces[start[e]:start[e + 1]]. The
+    # indices are held in the smallest unsigned type, so the stable argsort
+    # that groups the cofaces is a radix sort while they fit 16 bits.
+    edge_index = np.zeros((n, n), dtype=np.min_scalar_type(m))
     edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
     a, b, c = f.triangles.T
-    facets = np.column_stack([edge_index[a, b], edge_index[a, c], edge_index[b, c]])
+    ab, ac, bc = edge_index[a, b], edge_index[a, c], edge_index[b, c]
+    facets = np.column_stack([ab, ac, bc]).ravel()
     n_tris = len(tri_values)
-    cofaces = np.sort((facets * n_tris + np.arange(n_tris)[:, None]).ravel()) % max(n_tris, 1)
+    cofaces = np.argsort(facets, kind="stable") // 3
     start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
+    np.cumsum(np.bincount(facets, minlength=m), out=start[1:])
     has_coface = start[1:] > start[:-1]
     earliest = np.full(m, -1, dtype=np.intp)
     earliest[has_coface] = cofaces[start[:-1][has_coface]]
-    latest = facets.max(axis=1)
+    latest = np.maximum(np.maximum(ab, ac), bc)
     apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
     apparent_edges = latest[apparent_tris]
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tunneltda import dataio, features, pipeline
+from tunneltda import dataio, features, pipeline, topology
 from tunneltda.cli import main
 
 
@@ -191,3 +191,34 @@ def test_compute_ph_extracts_features_once_per_event(tmp_path, capsys, monkeypat
                 "--out-dir", tmp_path / "barcodes"]) == 0
     assert len(calls) == 4
     assert len(capsys.readouterr().out.splitlines()) == 5
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("warn", "--features"), ("train-predict", "--features"), ("run-all", "--manifest"),
+    ("loadcalc", "--radius"), ("loadcalc", "--enlargement"),
+])
+def test_preset_with_another_input_is_input_error(tmp_path, capsys, command, flag):
+    # the preset would silently replace the other input, so both are refused
+    if flag == "--features":
+        value = write_features_file(tmp_path / "features.csv")
+    else:
+        value = tmp_path / "manifest.json" if flag == "--manifest" else 1.6
+    out = ["--out-dir", tmp_path / "bundle"] if command == "run-all" else []
+    assert run([command, "--preset", "paper", flag, value] + out) == 1
+    assert f"--preset paper cannot be combined with {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_compute_ph_rejects_too_many_triangles(tmp_path, capsys):
+    # 500 blocks under a covering cap: C(500, 3) = 20,708,500 triangle candidates
+    rng = np.random.default_rng(5)
+    cloud = topology.PointCloud(tuple(f"b{i}" for i in range(500)),
+                                rng.uniform(0.0, 10.0, size=(500, 2)))
+    seq = dataio.SnapshotSequence((0,), (cloud,))
+    manifest = dataio.write_sequence(seq, tmp_path / "data")
+    assert run(["compute-ph", "--manifest", manifest, "--max-filtration", 20,
+                "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert "500 blocks at max_filtration 20 give 20708500 triangle candidates" in err
+    assert f"limit of {topology.MAX_TRIANGLE_CANDIDATES}" in err
+    assert not list((tmp_path / "out").glob("barcode_*.csv"))

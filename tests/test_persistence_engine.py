@@ -1,10 +1,14 @@
-"""The array persistence engine against the set-based reference reduction.
+"""The array persistence engine against the reference implementations.
 
 The brute-force oracle cannot reach 42 blocks, so the engine is checked
 against tests/reference_reduction.py on the default synthetic scenario, on a
 tied quarter-metre grid, and on small tied clouds drawn by hypothesis, where
-the oracle joins in.
+the oracle joins in. The distance matrix and the four filtration arrays are
+checked array for array against tests/reference_filtration.py on the same
+clouds and on degenerate ones.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +16,35 @@ from hypothesis import given, settings, strategies as st
 
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
-from tunneltda.topology import (FiltSimplex, Filtration, build_vr_filtration,
-                                compute_distance_matrix, compute_persistence)
+from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, FiltSimplex, Filtration,
+                                build_vr_filtration, compute_distance_matrix,
+                                compute_persistence)
 
 from conftest import make_cloud
 from oracle import rank_function_barcode
+from reference_filtration import reference_distance_matrix, reference_filtration
 from reference_reduction import reference_persistence
+
+FILTRATION_ARRAYS = ("edges", "edge_values", "triangles", "triangle_values")
+
+
+def assert_filtration_matches_reference(cloud, cap):
+    """Distances and all four filtration arrays == the reference's, exactly."""
+    dm, ref_dm = compute_distance_matrix(cloud), reference_distance_matrix(cloud)
+    assert np.array_equal(dm.d, ref_dm.d)
+    f, ref = build_vr_filtration(dm, cap), reference_filtration(ref_dm, cap)
+    for name in FILTRATION_ARRAYS:
+        got, want = getattr(f, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    return f
+
+
+def tied_grid_cloud():
+    """60 blocks on a quarter-metre grid, where distances tie heavily."""
+    rng = np.random.default_rng(60)
+    cells = rng.choice(12 * 12, size=60, replace=False)
+    return make_cloud(0.25 * np.column_stack(np.divmod(cells, 12)))
 
 
 def assert_engine_matches_reference(f):
@@ -36,10 +63,7 @@ def test_engine_matches_reference_on_default_scenario():
 
 
 def test_engine_matches_reference_on_tied_grid():
-    rng = np.random.default_rng(60)
-    cells = rng.choice(12 * 12, size=60, replace=False)
-    cloud = make_cloud(0.25 * np.column_stack(np.divmod(cells, 12)))
-    dm = compute_distance_matrix(cloud)
+    dm = compute_distance_matrix(tied_grid_cloud())
     _, counts = np.unique(dm.d[np.triu_indices(60, 1)], return_counts=True)
     assert counts.max() >= 20  # distances really tie
     f = build_vr_filtration(dm, 1.0)
@@ -56,11 +80,15 @@ grid_clouds = st.integers(1, 12).flatmap(lambda n: st.tuples(
 ))
 
 
-def tied_filtration(spec):
+def tied_cloud_and_cap(spec):
     step, cells, cap_fraction = spec
-    dm = compute_distance_matrix(make_cloud([(step * x, step * y) for x, y in cells]))
-    cap = max(cap_fraction * dm.d.max(), step)
-    return build_vr_filtration(dm, cap)
+    cloud = make_cloud([(step * x, step * y) for x, y in cells])
+    return cloud, max(cap_fraction * cloud.diameter(), step)
+
+
+def tied_filtration(spec):
+    cloud, cap = tied_cloud_and_cap(spec)
+    return build_vr_filtration(compute_distance_matrix(cloud), cap)
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,6 +103,67 @@ def test_engine_matches_oracle_on_tied_clouds(spec):
     f = tied_filtration(spec)
     got = [tuple(p) for p in compute_persistence(f).pairs]
     assert got == rank_function_barcode(f)
+
+
+# ---------------------------------------------------------------------------
+# the neighbour-list filtration build against the chunked dense scan
+
+def test_filtration_matches_reference_on_default_scenario():
+    for cloud in generate_sequence(ScenarioConfig()).clouds:
+        assert_filtration_matches_reference(cloud, 30.0)
+
+
+def test_filtration_matches_reference_on_tied_grid():
+    f = assert_filtration_matches_reference(tied_grid_cloud(), 1.0)
+    assert len(f.triangle_values) > 1000
+    assert len(np.unique(f.edge_values)) < len(f.edge_values) // 20  # many ties
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_clouds)
+def test_filtration_matches_reference_on_tied_clouds(spec):
+    assert_filtration_matches_reference(*tied_cloud_and_cap(spec))
+
+
+@pytest.mark.parametrize("points, cap, n_edges, n_tris", [
+    ([(2.5, -1)], 1.0, 0, 0),                      # one block
+    ([(0, 0), (5, 0), (0, 5)], 1.0, 0, 0),         # no edge within the cap
+    ([(0, 0), (1, 0), (2, 0), (3, 0)], 1.0, 3, 0),  # edges but no triangle
+    ([(0, 0), (0, 0), (1, 0)], 1.0, 3, 1),         # a zero-length edge
+    ([(0, 0), (1, 0), (0.5, 0.5), (0, 3), (np.nextafter(1.0, 2.0), 3), (0.5, 3.5)],
+     1.5, 6, 2),                                   # longest edges one ulp apart
+], ids=["one-block", "no-edge", "no-triangle", "coincident", "ulp-apart"])
+def test_filtration_matches_reference_on_degenerate_clouds(points, cap, n_edges, n_tris):
+    f = assert_filtration_matches_reference(make_cloud(points), cap)
+    assert (len(f.edge_values), len(f.triangle_values)) == (n_edges, n_tris)
+
+
+def test_filtration_matches_reference_past_8_bit_ranks():
+    # 435 edges on a tied grid, so the rank type is uint16 with few distinct
+    # values; then a random cloud whose distinct ranks themselves pass 255
+    cloud = make_cloud(0.5 * np.column_stack(np.divmod(np.arange(30), 6)))
+    f = assert_filtration_matches_reference(cloud, 10.0)
+    assert (len(f.edge_values), len(f.triangle_values)) == (435, 4060)
+    assert 1 < len(np.unique(f.edge_values)) < 255
+    rng = np.random.default_rng(256)
+    f = assert_filtration_matches_reference(make_cloud(rng.uniform(0, 4, (40, 2))), 3.0)
+    assert len(np.unique(f.edge_values)) > 256
+
+
+def test_triangle_limit_fails_before_allocating():
+    # C(500, 3) = 20.7M triangles under a covering cap; the build would need
+    # ~1.8 GB, the refusal needs only a few edge-sized arrays
+    rng = np.random.default_rng(5)
+    dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(500, 2))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"give 20708500 triangle candidates, "
+                                             f"above the limit of {MAX_TRIANGLE_CANDIDATES}"):
+            build_vr_filtration(dm, 20.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
