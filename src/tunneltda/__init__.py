@@ -25,6 +25,6 @@ from .synth import ScenarioConfig, generate_sequence
 from .topology import (Barcode, Chain, DistanceMatrix, FiltSimplex, Filtration,
                        PersistencePair, PointCloud, barcode_from_cloud, betti_numbers,
                        boundary, boundary_of_chain, build_vr_filtration,
-                       compute_distance_matrix, compute_persistence, persistent_betti)
+                       compute_distance_matrix, compute_persistence)
 
 __version__ = "0.1.0"

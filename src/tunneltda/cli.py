@@ -196,13 +196,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    _reject_with_preset(args, "manifest")
+    _reject_with_preset(args, "manifest", "seed")
+    if args.manifest is not None and args.seed is not None:
+        raise InputError("--manifest cannot be combined with --seed")
     if args.preset == "paper":
         seq = None
     elif args.manifest:
         seq = dataio.load_sequence(args.manifest)
     else:
-        cfg = synth.ScenarioConfig(seed=args.seed)
+        cfg = synth.ScenarioConfig() if args.seed is None else synth.ScenarioConfig(seed=args.seed)
         seq = synth.generate_sequence(cfg)
     written, warning = pipeline.run_all(
         seq, args.out_dir, max_filtration=args.max_filtration, split=args.split,
@@ -277,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--preset", choices=["paper"],
                    help="use the published feature series instead of snapshots")
-    p.add_argument("--seed", type=int, default=7,
-                   help="seed for the synthetic scenario when no manifest is given")
+    p.add_argument("--seed", type=int,
+                   help="seed for the synthetic scenario, used when neither --manifest "
+                        f"nor --preset is given (default {synth.ScenarioConfig.seed})")
     p.add_argument("--max-filtration", type=float, default=DEFAULT_MAX_FILTRATION)
     p.add_argument("--split", type=int, default=pipeline.DEFAULT_SPLIT)
     p.add_argument("--threshold", type=float, default=pipeline.DEFAULT_THRESHOLD)

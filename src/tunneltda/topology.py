@@ -8,7 +8,6 @@ components and line-bounded holes carry all the structure of interest.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -350,43 +349,36 @@ def boundary_of_chain(c: Chain) -> Chain:
     return total
 
 
-def _root(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]  # path halving
-        v = parent[v]
-    return v
-
-
-def _pivot(heap: list[int]) -> int | None:
-    """Smallest entry of odd multiplicity in a Z2 column kept as a heap.
-
-    Pairs of equal entries above it cancel and are popped.
-    """
-    while heap:
-        t = heapq.heappop(heap)
-        if not heap or heap[0] != t:
-            heapq.heappush(heap, t)
-            return t
-        heapq.heappop(heap)
-    return None
-
-
 def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     """Barcode by union-find for H0 and cohomology reduction for H1, over Z2.
 
-    H0: Kruskal union-find over the sorted edges. An edge that joins two
-    components kills one of them; these edges form the minimum spanning
-    forest and pair with vertices, so their H1 columns are cleared (Chen &
-    Kerber 2011). H1: the coboundaries of the remaining edges are reduced in
-    reverse filtration order, each column's pivot being its earliest
-    triangle (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser,
-    2021). An edge whose earliest coface has the edge as its latest facet is
-    an apparent pair: its column is already reduced and is read from the
-    coboundary, never stored. Only columns that receive additions keep their
-    rows. A column reduced to zero is a class still open at the cap and gets
-    infinite death. The pairing equals that of the standard boundary
-    reduction in (value, dim, vertices) order. Pairs with zero persistence
-    are dropped unless keep_zero_bars is set.
+    H0: Kruskal union-find over the sorted edges, with path halving. An edge
+    that joins two components kills one of them; these edges form the
+    minimum spanning forest and pair with vertices, so their H1 columns are
+    cleared (Chen & Kerber 2011).
+
+    H1: the coboundaries of the remaining edges are reduced in reverse
+    filtration order, each column's pivot being its earliest triangle (de
+    Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser, 2021). An edge
+    whose earliest coface has the edge as its latest facet is an apparent
+    pair: its column is already reduced and is read from the coboundary,
+    never stored. A column whose earliest coface has no owner is paired at
+    once. The others are reduced on one reused bool working column of
+    n_tris + 1 entries, whose last entry, a sentinel, is always True.
+    Adding an owner's column flips its rows, ``col[rows] = ~col[rows]``,
+    which acts once per distinct index, so every stored column must be
+    sorted and duplicate-free. The pivot only grows, so the next one is the
+    first True entry at or after it: argmax on bools stops there, and on a
+    column reduced to zero it stops at the sentinel, n_tris, which no
+    column owns. The rows lie in [pivot, hi], hi being the largest row the
+    column has touched, so a column that received additions and found a
+    pivot is stored as the True entries of that window, which are then
+    cleared. A column reduced to zero, or an edge with no coface, is a
+    class still open at the cap and gets infinite death.
+
+    The pairing equals that of the standard boundary reduction in (value,
+    dim, vertices) order. Pairs with zero persistence are dropped unless
+    keep_zero_bars is set.
     """
     n, edges = f.n_vertices, f.edges
     edge_values, tri_values = f.edge_values, f.triangle_values
@@ -394,17 +386,24 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     pairs = []
 
     parent = list(range(n))
-    cleared = np.zeros(m, dtype=bool)
+    forest = []
     components = n
     for e, (a, b) in enumerate(edges.tolist()):
-        if components == 1:
-            break
-        ra, rb = _root(parent, a), _root(parent, b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            cleared[e] = True
+        # a and b walk up to their roots, halving the paths they pass
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            forest.append(e)
             components -= 1
-    deaths = edge_values[cleared]
+            if components == 1:
+                break
+    deaths = edge_values[forest]
     if not keep_zero_bars:
         deaths = deaths[deaths > 0.0]
     pairs += [PersistencePair(0, 0.0, x) for x in deaths.tolist()]
@@ -424,7 +423,7 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     start = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(facets, minlength=m), out=start[1:])
     has_coface = start[1:] > start[:-1]
-    earliest = np.full(m, -1, dtype=np.intp)
+    earliest = np.full(m, n_tris, dtype=np.intp)  # n_tris: no coface
     earliest[has_coface] = cofaces[start[:-1][has_coface]]
     latest = np.maximum(np.maximum(ab, ac), bc)
     apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
@@ -437,30 +436,39 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
               for x, y in zip(births[keep].tolist(), deaths[keep].tolist())]
 
     pivot_owner = dict(zip(apparent_tris.tolist(), apparent_edges.tolist()))
-    reduced: dict[int, list[int]] = {}
-    todo = ~cleared
+    reduced: dict[int, np.ndarray] = {}
+    col = np.zeros(n_tris + 1, dtype=bool)
+    col[n_tris] = True
+    todo = np.ones(m, dtype=bool)
+    todo[forest] = False
     todo[apparent_edges] = False
-    for e in reversed(np.flatnonzero(todo).tolist()):
-        col = cofaces[start[e]:start[e + 1]].tolist()  # ascending, so already a heap
-        added = False
-        while (pivot := _pivot(col)) is not None:
-            owner = pivot_owner.get(pivot)
-            if owner is None:
-                break
-            other = reduced.get(owner)
-            if other is None:
-                other = cofaces[start[owner]:start[owner + 1]].tolist()
-            for t in other:
-                heapq.heappush(col, t)
-            added = True
+    todo = np.flatnonzero(todo)[::-1]
+    for e, pivot in zip(todo.tolist(), earliest[todo].tolist()):
+        owner = pivot_owner.get(pivot)
+        if owner is not None:
+            rows = cofaces[start[e]:start[e + 1]]
+            col[rows] = True
+            hi = int(rows[-1])
+            while owner is not None:
+                rows = reduced.get(owner)
+                if rows is None:
+                    rows = cofaces[start[owner]:start[owner + 1]]
+                col[rows] = ~col[rows]
+                last = int(rows[-1])
+                if last > hi:
+                    hi = last
+                pivot += int(col[pivot:].argmax())
+                owner = pivot_owner.get(pivot)
+            if pivot < n_tris:
+                rows = pivot + col[pivot:hi + 1].nonzero()[0]
+                col[rows] = False
+                reduced[e] = rows
         birth = float(edge_values[e])
-        if pivot is None:
-            death = math.inf
-        else:
+        if pivot < n_tris:
             pivot_owner[pivot] = e
-            if added:
-                reduced[e] = col
             death = float(tri_values[pivot])
+        else:
+            death = math.inf
         if keep_zero_bars or death > birth:
             pairs.append(PersistencePair(1, birth, death))
     pairs.sort()
@@ -479,19 +487,6 @@ def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:
     for p in b.pairs:
         if p.birth <= eps < p.death:
             counts[p.dim] += 1
-    return counts[0], counts[1]
-
-
-def persistent_betti(b: Barcode, eps_i: float, p: float) -> tuple[int, int]:
-    """Number of classes alive over the whole window [eps_i, eps_i + p]."""
-    if p < 0:
-        raise InputError(f"persistence window must be non-negative, got {p}")
-    if eps_i < 0 or eps_i + p > b.max_filtration:
-        raise InputError(f"window [{eps_i}, {eps_i + p}] outside [0, {b.max_filtration}]")
-    counts = [0, 0]
-    for pair in b.pairs:
-        if pair.birth <= eps_i and pair.death > eps_i + p:
-            counts[pair.dim] += 1
     return counts[0], counts[1]
 
 

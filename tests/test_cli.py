@@ -195,17 +195,29 @@ def test_compute_ph_extracts_features_once_per_event(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command, flag", [
     ("warn", "--features"), ("train-predict", "--features"), ("run-all", "--manifest"),
-    ("loadcalc", "--radius"), ("loadcalc", "--enlargement"),
+    ("run-all", "--seed"), ("loadcalc", "--radius"), ("loadcalc", "--enlargement"),
 ])
 def test_preset_with_another_input_is_input_error(tmp_path, capsys, command, flag):
     # the preset would silently replace the other input, so both are refused
     if flag == "--features":
         value = write_features_file(tmp_path / "features.csv")
     else:
-        value = tmp_path / "manifest.json" if flag == "--manifest" else 1.6
+        value = {"--manifest": tmp_path / "manifest.json", "--seed": 3}.get(flag, 1.6)
     out = ["--out-dir", tmp_path / "bundle"] if command == "run-all" else []
     assert run([command, "--preset", "paper", flag, value] + out) == 1
     assert f"--preset paper cannot be combined with {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_run_all_manifest_with_seed_is_input_error(tmp_path, capsys):
+    # the manifest's snapshots would silently replace the seeded scenario
+    data = tmp_path / "data"
+    run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", 3,
+         "--ring-radius", 6, "--out-dir", data])
+    capsys.readouterr()
+    assert run(["run-all", "--manifest", data / "manifest.json", "--seed", 3,
+                "--out-dir", tmp_path / "bundle"]) == 1
+    assert "--manifest cannot be combined with --seed" in capsys.readouterr().err
     assert not (tmp_path / "bundle").exists()
 
 

@@ -58,8 +58,14 @@ def assert_engine_matches_reference(f):
 def test_engine_matches_reference_on_default_scenario():
     seq = generate_sequence(ScenarioConfig())
     assert len(seq.clouds) == 21 and len(seq.clouds[0]) == 42
-    for cloud in seq.clouds:
-        assert_engine_matches_reference(build_vr_filtration(compute_distance_matrix(cloud), 30.0))
+    # At cap 8 the cavity stays open: its column takes 9-18 additions and
+    # reduces to zero, so the working column ends at its sentinel.
+    for cap in (30.0, 8.0):
+        for cloud in seq.clouds:
+            f = build_vr_filtration(compute_distance_matrix(cloud), cap)
+            assert_engine_matches_reference(f)
+            if cap == 8.0:
+                assert any(p.death == np.inf for p in compute_persistence(f).in_dim(1))
 
 
 def test_engine_matches_reference_on_tied_grid():

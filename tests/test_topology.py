@@ -8,7 +8,6 @@ from tunneltda.topology import (
     Barcode, Chain, DistanceMatrix, FiltSimplex, Filtration, PersistencePair,
     PointCloud, barcode_from_cloud, betti_numbers, boundary, boundary_of_chain,
     build_vr_filtration, compute_distance_matrix, compute_persistence,
-    persistent_betti,
 )
 
 from conftest import make_cloud, random_cloud
@@ -246,21 +245,6 @@ def test_betti_query_range_checked(square_barcode):
         betti_numbers(square_barcode, 2.5)
     with pytest.raises(InputError):
         betti_numbers(square_barcode, -0.1)
-
-
-def test_persistent_betti_window(square_barcode):
-    assert persistent_betti(square_barcode, 1.1, 0.2)[1] == 1
-    assert persistent_betti(square_barcode, 1.1, 0.4)[1] == 0
-
-
-def test_persistent_betti_zero_window_matches_betti(square_barcode):
-    for eps in (0.0, 0.5, 1.0, 1.3, 2.0):
-        assert persistent_betti(square_barcode, eps, 0.0) == betti_numbers(square_barcode, eps)
-
-
-def test_persistent_betti_rejects_negative_window(square_barcode):
-    with pytest.raises(InputError):
-        persistent_betti(square_barcode, 0.5, -0.1)
 
 
 def test_barcode_rejects_death_before_birth():
