@@ -92,18 +92,24 @@ def write_snapshot(pc: PointCloud, path: str | Path) -> None:
 def load_snapshot(path: str | Path) -> PointCloud:
     path = Path(path)
     _, table = _read_table(path, "snapshot", SNAPSHOT_HEADER, 3)
-    rows = []
+    ids, coords = [], []
     seen = set()
     for lineno, (bid, x, y) in table:
         bid = bid.strip()
         if bid in seen:
             raise InputError(f"{path}:{lineno}: duplicate block_id {bid!r}")
         seen.add(bid)
+        ids.append(bid)
         try:
-            rows.append((bid, float(x), float(y)))
+            coords.append((float(x), float(y)))
         except ValueError:
             raise InputError(f"{path}:{lineno}: non-numeric coordinate") from None
-    return PointCloud.from_rows(rows)
+    xy = np.array(coords)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():
+        lineno = table[int(finite.argmin())][0]
+        raise InputError(f"{path}:{lineno}: coordinates must be finite")
+    return PointCloud(tuple(ids), xy)
 
 
 # ---------------------------------------------------------------------------

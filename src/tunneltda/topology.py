@@ -18,8 +18,8 @@ import numpy as np
 from .errors import InputError
 
 DEFAULT_MAX_FILTRATION = 30.0
-# Triangle candidates a filtration build may enumerate; ~1.4 GiB at its peak
-# (see build_vr_filtration).
+# Triangle candidates a filtration build may enumerate; ~1 GiB at the peak of
+# the reduction that follows (see build_vr_filtration).
 MAX_TRIANGLE_CANDIDATES = 1 << 24
 
 
@@ -136,13 +136,16 @@ class Chain:
 class Filtration:
     """A capped complex up to triangles, held as sorted arrays.
 
-    Vertices 0..n_vertices-1 enter at scale 0. ``edges`` (m, 2) and
-    ``triangles`` (t, 3) hold sorted vertex labels, with their values in
-    ``edge_values`` and ``triangle_values``; each array is in filtration
-    order, by value and then by vertex labels. ``simplices`` is the same
-    filtration as FiltSimplex objects in (value, dim, vertices) order. It
-    is built on first access, for oracles and tests; the engine never
-    reads it.
+    Vertices 0..n_vertices-1 enter at scale 0. ``edges`` (m, 2) holds sorted
+    vertex labels with their values in ``edge_values``. ``facets`` (t, 3)
+    holds each triangle's edges (ab, ac, bc) as indices into ``edges``, in
+    the smallest unsigned type that holds m, with the triangle values in
+    ``triangle_values``. Each array is in filtration order, by value and
+    then by vertex labels. ``triangles`` (t, 3) are the vertex labels
+    (a, b, c), derived from ``edges`` and ``facets`` on first access;
+    ``simplices`` is the same filtration as FiltSimplex objects in (value,
+    dim, vertices) order, built on first access. Both are for oracles and
+    tests; the engine reads neither.
     """
 
     def __init__(self, simplices, max_filtration: float, max_dim: int = 2):
@@ -171,11 +174,11 @@ class Filtration:
         if [s.vertices for s in verts] != [(i,) for i in range(len(verts))] \
                 or any(s.value != 0.0 for s in verts):
             raise InputError("vertices must be labelled 0..n-1 and enter at scale 0")
+        edge_array = np.array([s.vertices for s in edges], dtype=np.intp).reshape(-1, 2)
         self._set_arrays(
-            len(verts),
-            np.array([s.vertices for s in edges], dtype=np.intp).reshape(-1, 2),
-            np.array([s.value for s in edges], dtype=float),
-            np.array([s.vertices for s in tris], dtype=np.intp).reshape(-1, 3),
+            len(verts), edge_array, np.array([s.value for s in edges], dtype=float),
+            _facets_of(len(verts), edge_array,
+                       np.array([s.vertices for s in tris], dtype=np.intp).reshape(-1, 3)),
             np.array([s.value for s in tris], dtype=float),
             max_filtration, max_dim)
         self.__dict__["simplices"] = simplices
@@ -184,21 +187,40 @@ class Filtration:
     def from_arrays(cls, n_vertices: int, edges: np.ndarray, edge_values: np.ndarray,
                     triangles: np.ndarray, triangle_values: np.ndarray,
                     max_filtration: float) -> "Filtration":
+        """Wrap arrays that are already in filtration order, unchecked.
+
+        Each triangle's facets are looked up by vertex pair.
+        """
+        return cls.from_facets(n_vertices, edges, edge_values,
+                               _facets_of(n_vertices, edges, triangles), triangle_values,
+                               max_filtration)
+
+    @classmethod
+    def from_facets(cls, n_vertices: int, edges: np.ndarray, edge_values: np.ndarray,
+                    facets: np.ndarray, triangle_values: np.ndarray,
+                    max_filtration: float) -> "Filtration":
         """Wrap arrays that are already in filtration order, unchecked."""
         f = cls.__new__(cls)
-        f._set_arrays(n_vertices, edges, edge_values, triangles, triangle_values,
+        f._set_arrays(n_vertices, edges, edge_values, facets, triangle_values,
                       max_filtration, 2)
         return f
 
-    def _set_arrays(self, n_vertices, edges, edge_values, triangles, triangle_values,
+    def _set_arrays(self, n_vertices, edges, edge_values, facets, triangle_values,
                     max_filtration, max_dim):
-        for a in (edges, edge_values, triangles, triangle_values):
+        for a in (edges, edge_values, facets, triangle_values):
             a.setflags(write=False)
         self.n_vertices = int(n_vertices)
         self.edges, self.edge_values = edges, edge_values
-        self.triangles, self.triangle_values = triangles, triangle_values
+        self.facets, self.triangle_values = facets, triangle_values
         self.max_filtration = float(max_filtration)
         self.max_dim = max_dim
+
+    @cached_property
+    def triangles(self) -> np.ndarray:
+        ab, bc = self.facets[:, 0], self.facets[:, 2]
+        tris = np.column_stack([self.edges[ab, 0], self.edges[ab, 1], self.edges[bc, 1]])
+        tris.setflags(write=False)
+        return tris
 
     @cached_property
     def simplices(self) -> tuple[FiltSimplex, ...]:
@@ -211,6 +233,16 @@ class Filtration:
 
     def __len__(self) -> int:
         return self.n_vertices + len(self.edge_values) + len(self.triangle_values)
+
+
+def _facets_of(n_vertices: int, edges: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Edge indices (ab, ac, bc) of each triangle (a, b, c), looked up in an
+    n x n table of edge indices."""
+    m = len(edges)
+    edge_index = np.zeros((n_vertices, n_vertices), dtype=np.min_scalar_type(m))
+    edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
+    a, b, c = triangles.T
+    return np.column_stack([edge_index[a, b], edge_index[a, c], edge_index[b, c]])
 
 
 class PersistencePair(NamedTuple):
@@ -248,12 +280,20 @@ def compute_distance_matrix(pc: PointCloud) -> DistanceMatrix:
     """Pairwise Euclidean distances between block centroids.
 
     (a - b)^2 == (b - a)^2 exactly, so the matrix is exactly symmetric with
-    a zero diagonal, with no symmetrising pass.
+    a zero diagonal, with no symmetrising pass. It is computed in place in
+    two n x n buffers. Coordinates so large that a square overflows give
+    inf, which DistanceMatrix rejects, so numpy's overflow warning is
+    silenced.
     """
     x, y = pc.xy[:, 0], pc.xy[:, 1]
-    dx = x[:, None] - x
-    dy = y[:, None] - y
-    return DistanceMatrix(np.sqrt(dx * dx + dy * dy))
+    with np.errstate(over="ignore"):
+        d = x[:, None] - x
+        d *= d
+        dy = y[:, None] - y
+        dy *= dy
+        d += dy
+        np.sqrt(d, out=d)
+    return DistanceMatrix(d)
 
 
 def build_vr_filtration(
@@ -269,25 +309,31 @@ def build_vr_filtration(
     per-simplex objects.
 
     Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
-    k > j of j, as a candidate that is kept when (i, k) is an edge too.
-    Triangles are ordered by the dense rank of their longest edge's value,
-    held in the smallest unsigned type, so the only float sort is that of
-    the edges and the triangle sort is a radix sort while ranks fit 16 bits.
+    k > j of j, as a candidate that is kept when (i, k) is an edge too. The
+    enumeration yields each triangle's facets (ab, ac, bc) as edge indices
+    in filtration order, which is what the Filtration stores: ab and bc from
+    the positions of (i, j) and (j, k), ac from an n x n table of edge
+    indices. Triangles are ordered by the dense rank of their longest
+    edge's value, held in the smallest unsigned type, so the only float
+    sort is that of the edges and the triangle sort is a radix sort while
+    ranks fit 16 bits.
 
-    The candidates are counted before any is built, and more than
-    MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M) raise InputError. With a
-    cap covering the cloud every candidate is a triangle, and the build
-    peaks at about 85 bytes per triangle (the reduction that follows at
-    about 87, the filtration's own arrays included), so the limit keeps
-    both under about 1.4 GiB; 2 GiB would be passed near 25M.
+    The cap must be positive and finite. The candidates are counted before
+    any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M)
+    raise InputError. With a cap covering the cloud every candidate is a
+    triangle. Measured with tracemalloc at covering caps (n = 150 and 250),
+    the build peaks at about 33 bytes per triangle and the reduction that
+    follows at about 63, the filtration's own arrays included, so the limit
+    keeps both under about 1 GiB; 2 GiB would be passed near 34M.
     """
-    if not max_filtration > 0:
-        raise InputError(f"max_filtration must be positive, got {max_filtration}")
+    if not 0 < max_filtration < math.inf:
+        raise InputError(f"max_filtration must be positive and finite, got {max_filtration}")
     if max_dim != 2:
         raise InputError("only max_dim=2 is supported")
     d, n = dm.d, dm.n
     # np.nonzero lists the edges in (i, j) order. The upper neighbours of v
-    # are then j[start[v]:start[v + 1]], each at the index of edge (v, k).
+    # are then j[start[v]:start[v + 1]], each at the (i, j) position of edge
+    # (v, k).
     i, j = np.nonzero(np.triu(d <= max_filtration, 1))
     m = len(i)
     start = np.zeros(n + 1, dtype=np.intp)
@@ -298,35 +344,43 @@ def build_vr_filtration(
         raise InputError(
             f"{n} blocks at max_filtration {max_filtration:g} give {candidates} triangle "
             f"candidates, above the limit of {MAX_TRIANGLE_CANDIDATES}; lower the cap")
-    # A stable sort by value gives the (value, vertices) order.
+    # A stable sort by value gives the (value, vertices) order; pos[p] is
+    # the filtration index of the edge at (i, j) position p, and index[a, b]
+    # that of edge (a, b) plus one, 0 where (a, b) is not an edge.
     edge_values = d[i, j]
     order = np.argsort(edge_values, kind="stable")
     values = edge_values[order]
-    # rank[e]: 1 + the number of distinct edge values below edge e's, and
-    # ranks[a, b] that of edge (a, b), 0 where (a, b) is not an edge.
-    # values[new] are the distinct values, so a rank r stands for
-    # values[new][r - 1].
+    id_type = np.min_scalar_type(m)
+    pos = np.empty(m, dtype=id_type)
+    pos[order] = np.arange(m, dtype=id_type)
+    index = np.zeros((n, n), dtype=id_type)
+    index[i, j] = pos + 1
+    # rank[e]: 1 + the number of distinct values below that of edge e. It
+    # rises with e, so a triangle's rank is that of its latest facet.
     new = np.ones(m, dtype=bool)
     new[1:] = values[1:] != values[:-1]
-    rank_type = np.min_scalar_type(m)
-    rank = np.empty(m, dtype=rank_type)
-    rank[order] = np.cumsum(new, dtype=rank_type)
-    ranks = np.zeros((n, n), dtype=rank_type)
-    ranks[i, j] = rank
-    # Candidate c joins edge ij[c] = (i, j) and edge jk[c] = (j, k), in
-    # lexicographic (i, j, k) order.
-    ij = np.repeat(np.arange(m), counts)
-    jk = np.repeat(start[j] - (np.cumsum(counts) - counts), counts)
-    jk += np.arange(candidates)
-    ik = ranks[i[ij], j[jk]]
-    hit = np.flatnonzero(ik)
-    ij, jk = ij[hit], jk[hit]
-    key = np.maximum(np.maximum(rank[ij], rank[jk]), ik[hit])
-    tri_order = np.argsort(key, kind="stable")
-    ij, jk = ij[tri_order], jk[tri_order]
-    tris = np.column_stack([i[ij], j[ij], j[jk]])
-    return Filtration.from_arrays(n, np.column_stack([i, j])[order], values,
-                                  tris, values[new][key[tri_order] - 1], max_filtration)
+    rank = np.cumsum(new, dtype=id_type)
+    # Candidates come in lexicographic (i, j, k) order, those of edge (i, j)
+    # together; candidate c takes edge (j, k) from (i, j) position jk[c],
+    # which fits int32 below MAX_TRIANGLE_CANDIDATES. It is a triangle when
+    # (i, k) is an edge too, and its facets are then (ab, ac, bc).
+    jk = np.repeat((start[j] - (np.cumsum(counts) - counts)).astype(np.int32), counts)
+    jk += np.arange(candidates, dtype=np.int32)
+    cell = np.repeat(n * i, counts)
+    cell += j[jk]
+    ac = index.ravel()[cell]
+    del cell
+    hit = np.flatnonzero(ac)
+    ab, ac, bc = np.repeat(pos, counts)[hit], ac[hit], pos[jk[hit]]
+    ac -= 1
+    del jk, hit
+    latest = np.maximum(np.maximum(ab, ac), bc)
+    tri_order = np.argsort(rank[latest], kind="stable")
+    facets = np.empty((len(tri_order), 3), dtype=id_type)
+    for column, ids in enumerate((ab, ac, bc)):
+        facets[:, column] = ids[tri_order]
+    return Filtration.from_facets(n, np.column_stack([i, j])[order], values, facets,
+                                  values[latest[tri_order]], max_filtration)
 
 
 def boundary(s: FiltSimplex) -> Chain:
@@ -409,23 +463,20 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     pairs += [PersistencePair(0, 0.0, x) for x in deaths.tolist()]
     pairs += [PersistencePair(0, 0.0, math.inf)] * components
 
-    # Facets of each triangle as edge indices, and the cofaces of each edge
-    # as ascending triangle indices: cofaces[start[e]:start[e + 1]]. The
-    # indices are held in the smallest unsigned type, so the stable argsort
-    # that groups the cofaces is a radix sort while they fit 16 bits.
-    edge_index = np.zeros((n, n), dtype=np.min_scalar_type(m))
-    edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
-    a, b, c = f.triangles.T
-    ab, ac, bc = edge_index[a, b], edge_index[a, c], edge_index[b, c]
-    facets = np.column_stack([ab, ac, bc]).ravel()
+    # The cofaces of each edge as ascending triangle indices:
+    # cofaces[start[e]:start[e + 1]]. The facets are held in the smallest
+    # unsigned type, so the stable argsort that groups them is a radix sort
+    # while they fit 16 bits.
+    facets = f.facets
     n_tris = len(tri_values)
-    cofaces = np.argsort(facets, kind="stable") // 3
+    cofaces = np.argsort(facets.ravel(), kind="stable")
+    cofaces //= 3
     start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(facets, minlength=m), out=start[1:])
+    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
     has_coface = start[1:] > start[:-1]
     earliest = np.full(m, n_tris, dtype=np.intp)  # n_tris: no coface
     earliest[has_coface] = cofaces[start[:-1][has_coface]]
-    latest = np.maximum(np.maximum(ab, ac), bc)
+    latest = np.maximum(np.maximum(facets[:, 0], facets[:, 1]), facets[:, 2])
     apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
     apparent_edges = latest[apparent_tris]
 

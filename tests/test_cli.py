@@ -221,6 +221,18 @@ def test_run_all_manifest_with_seed_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("command", ["compute-ph", "run-all"])
+def test_infinite_cap_is_input_error(tmp_path, capsys, command):
+    data = tmp_path / "data"
+    run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", 3,
+         "--ring-radius", 6, "--out-dir", data])
+    capsys.readouterr()
+    assert run([command, "--manifest", data / "manifest.json", "--max-filtration", "inf",
+                "--out-dir", tmp_path / "out"]) == 1
+    assert "max_filtration must be positive and finite, got inf" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out/**/barcode_*.csv"))
+
+
 def test_compute_ph_rejects_too_many_triangles(tmp_path, capsys):
     # 500 blocks under a covering cap: C(500, 3) = 20,708,500 triangle candidates
     rng = np.random.default_rng(5)

@@ -55,6 +55,14 @@ def test_snapshot_non_numeric_names_line(tmp_path):
         dataio.load_snapshot(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_snapshot_non_finite_names_line(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"block_id,x,y\na,1,2\n\nb,3,{token}\nc,{token},4\n")
+    with pytest.raises(InputError, match=r"bad\.csv:4: coordinates must be finite"):
+        dataio.load_snapshot(path)
+
+
 def test_snapshot_empty_data(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("block_id,x,y\n")

@@ -186,6 +186,36 @@ def test_filtration_arrays_sorted_and_view_lazy():
     assert len(f) == len(f.simplices) == 6 + len(f.edge_values) + len(f.triangle_values)
 
 
+def test_engine_reads_facets_not_vertex_triples():
+    f = build_vr_filtration(compute_distance_matrix(tied_grid_cloud()), 1.0)
+    compute_persistence(f)
+    assert "triangles" not in vars(f) and "simplices" not in vars(f)
+
+
+def assert_facets_match_lookup(f):
+    """The build's facets == those from_arrays looks up from the vertex triples."""
+    looked_up = Filtration.from_arrays(f.n_vertices, f.edges, f.edge_values, f.triangles,
+                                       f.triangle_values, f.max_filtration)
+    assert f.facets.dtype == looked_up.facets.dtype == np.min_scalar_type(len(f.edge_values))
+    assert f.facets.shape == (len(f.triangle_values), 3)
+    assert np.array_equal(f.facets, looked_up.facets)
+
+
+def test_built_facets_match_lookup():
+    # 861 edges per ring snapshot and 435 on the 30-block grid: uint16 ids
+    clouds = [(cloud, 30.0) for cloud in generate_sequence(ScenarioConfig()).clouds[::5]]
+    clouds += [(make_cloud(0.5 * np.column_stack(np.divmod(np.arange(30), 6))), 10.0),
+               (tied_grid_cloud(), 1.0)]
+    for cloud, cap in clouds:
+        assert_facets_match_lookup(build_vr_filtration(compute_distance_matrix(cloud), cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_clouds)
+def test_built_facets_match_lookup_on_tied_clouds(spec):
+    assert_facets_match_lookup(tied_filtration(spec))
+
+
 def test_filtration_from_simplices_matches_built():
     dm = compute_distance_matrix(make_cloud([(0, 0), (1, 0), (1, 1), (0, 1), (3, 3)]))
     built = build_vr_filtration(dm, 2.0)

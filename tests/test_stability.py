@@ -6,8 +6,12 @@ filtration. With deaths clamped to the cap, a capped barcode is that of the
 full filtration under min(value, cap), which is 1-Lipschitz, so the dim-0
 and dim-1 barcodes move by at most 2 delta in bottleneck distance
 (Cohen-Steiner, Edelsbrunner & Harer 2007; Chazal, de Silva & Oudot 2014).
-This holds the engine to a property of its output, not to another
-implementation of the same pairing rule.
+A matching within epsilon changes each matched bar's length by at most
+2 epsilon and leaves unmatched bars shorter than 2 epsilon, so the k-th
+longest bar of a dimension, 0 when there are fewer than k, moves by at most
+2 epsilon too: f3, f4 and f8 move by at most 4 delta. This holds the engine
+to a property of its output, not to another implementation of the same
+pairing rule.
 """
 
 import itertools
@@ -16,6 +20,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from tunneltda.features import extract_features
 from tunneltda.synth import ScenarioConfig, generate_sequence
 from tunneltda.topology import barcode_from_cloud
 
@@ -51,19 +56,36 @@ clouds = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(clouds, seeds, st.floats(0.0, 0.2))
-def test_barcode_moves_at_most_twice_the_block_movement(cloud, seed, delta):
-    xy, cap = cloud
+def move_blocks(xy, seed, delta):
+    """Every block moved by at most delta in a random direction; the moved
+    cloud and the largest movement made."""
     rng = np.random.default_rng(seed)
     angle = rng.uniform(0.0, 2 * math.pi, len(xy))
     step = delta * rng.uniform(0.0, 1.0, len(xy))
     moved = xy + step[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
-    delta = float(np.hypot(*(moved - xy).T).max())
+    return moved, float(np.hypot(*(moved - xy).T).max())
+
+
+@settings(max_examples=40, deadline=None)
+@given(clouds, seeds, st.floats(0.0, 0.2))
+def test_barcode_moves_at_most_twice_the_block_movement(cloud, seed, delta):
+    xy, cap = cloud
+    moved, delta = move_blocks(xy, seed, delta)
     before = barcode_from_cloud(make_cloud(xy), cap)
     after = barcode_from_cloud(make_cloud(moved), cap)
     for dim in (0, 1):
         assert bottleneck(before, after, dim, cap) <= 2 * delta + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(clouds, seeds, st.floats(0.0, 0.2))
+def test_bar_length_features_move_at_most_four_times_the_block_movement(cloud, seed, delta):
+    xy, cap = cloud
+    moved, delta = move_blocks(xy, seed, delta)
+    before = extract_features(barcode_from_cloud(make_cloud(xy), cap))
+    after = extract_features(barcode_from_cloud(make_cloud(moved), cap))
+    for k in (3, 4, 8):
+        assert abs(after[k] - before[k]) <= 4 * delta + 1e-9, k
 
 
 def brute_force_bottleneck(a, b):

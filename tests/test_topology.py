@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ def test_distance_matches_independent_implementation():
             assert dm.d[i, j] == pytest.approx(expected, abs=1e-12)
 
 
+def test_distance_overflow_is_input_error_without_warning():
+    # (1e200)^2 overflows to inf: the finite check reports it, numpy stays quiet
+    cloud = make_cloud([(0, 0), (1e200, 0), (0, -1e200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="distances must be finite"):
+            compute_distance_matrix(cloud)
+
+
 def test_distance_matrix_validates_symmetry():
     with pytest.raises(InputError):
         DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -101,6 +111,13 @@ def test_vr_requires_positive_cap():
     dm = compute_distance_matrix(make_cloud([(0, 0), (1, 0)]))
     with pytest.raises(InputError):
         build_vr_filtration(dm, 0.0)
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan, -1.0])
+def test_vr_requires_finite_positive_cap(cap):
+    dm = compute_distance_matrix(make_cloud([(0, 0), (1, 0)]))
+    with pytest.raises(InputError, match="max_filtration must be positive and finite"):
+        build_vr_filtration(dm, cap)
 
 
 def test_faces_precede_cofaces():
