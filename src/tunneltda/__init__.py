@@ -13,8 +13,7 @@ from .dataio import (FixtureTable5, FixtureTable6, SnapshotSequence, fixtures,
                      read_model, write_barcode, write_features, write_model,
                      write_sequence, write_snapshot)
 from .errors import ConditioningWarning, InputError, NumericalError
-from .features import (FEATURE_CATEGORIES, FeatureVector, extract_features,
-                       feature_category, feature_matrix, feature_series)
+from .features import FeatureVector, extract_features, feature_matrix, feature_series
 from .lssvm import (KernelSpec, LssvmModel, TrainingSet, gram_matrix, kkt_residual,
                     predict, predict_batch, select_hyperparameters, train_classifier,
                     train_regressor)

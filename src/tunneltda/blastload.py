@@ -120,13 +120,13 @@ def paper_preset() -> CalibratedLoad:
     )
 
 
-def calibrated_from_config(cfg: BlastConfig, rise_time: float = PAPER_RISE_TIME,
-                           total_time: float = PAPER_TOTAL_TIME) -> CalibratedLoad:
-    """Build the surface load from explicit borehole parameters."""
+def calibrated_from_config(cfg: BlastConfig) -> CalibratedLoad:
+    """Build the surface load from explicit borehole parameters and the
+    published pulse timing."""
     p_m = peak_pressure(cfg)
     peak = equivalent_uniform_peak(cfg, p_m)
     return CalibratedLoad(
         single_hole_peak=p_m,
         bore_ratio=2.0 * cfg.radius / cfg.spacing,
-        profile=LoadProfile(rise_time, total_time, peak),
+        profile=LoadProfile(PAPER_RISE_TIME, PAPER_TOTAL_TIME, peak),
     )

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute-ph, features, train-predict, warn, loadcalc, synth,
-run-all. Exit codes: 0 success, 1 input error, 2 numerical error, 3 warning
-triggered (warn/run-all with --gate).
+run-all. Exit codes: 0 success, 1 input error (a path that cannot be read or
+written included), 2 numerical error, 3 warning triggered (warn/run-all with
+--gate).
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

@@ -14,7 +14,10 @@ Formats (all plain text, numbers written with full round-trip precision):
   plots     CSV ``event,f8`` (``plot_f8_series.csv``) and ``event,f14``
             (``plot_hole_counts.csv``)
 
-Every CSV table goes through ``write_table`` and ``_read_table``.
+Every CSV table goes through ``write_table`` and ``_read_table``. Malformed
+content raises InputError; a path that cannot be read or written, or a file
+that is not UTF-8, raises the OSError or UnicodeDecodeError as it comes, and
+the command line reports those as input errors too.
 """
 
 from __future__ import annotations
@@ -169,7 +172,7 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
         doc = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"{manifest_path}: invalid JSON: {exc}") from None
-    entries = doc.get("snapshots")
+    entries = doc.get("snapshots") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{manifest_path}: manifest needs a non-empty 'snapshots' list")
     events, clouds = [], []
@@ -178,7 +181,10 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
             event = int(entry["event"])
             rel = entry["path"]
         except (KeyError, TypeError, ValueError):
-            raise InputError(f"{manifest_path}: each snapshot entry needs 'event' and 'path'") from None
+            rel = None
+        if not isinstance(rel, str):
+            raise InputError(f"{manifest_path}: each snapshot entry needs an 'event' "
+                             "and a string 'path'")
         events.append(event)
         clouds.append(load_snapshot(manifest_path.parent / rel))
     return SnapshotSequence(tuple(events), tuple(clouds))

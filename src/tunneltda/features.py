@@ -18,12 +18,6 @@ from .topology import Barcode
 #: Absolute, in scale units; deliberately not relative to other bars.
 LONG_BAR_THRESHOLD = 1.5
 
-FEATURE_CATEGORIES = {
-    "interaction-strength-and-distribution": (1, 2, 13, 14),
-    "physical": (3, 4, 5, 6),
-    "geometric": (7, 8, 9, 10, 11, 12),
-}
-
 
 @dataclass(frozen=True)
 class FeatureVector:
@@ -81,11 +75,7 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-def extract_features(
-    b: Barcode,
-    max_filtration: float | None = None,
-    long_bar_threshold: float = LONG_BAR_THRESHOLD,
-) -> FeatureVector:
+def extract_features(b: Barcode, max_filtration: float | None = None) -> FeatureVector:
     """Compute the 14 features of one barcode.
 
     max_filtration defaults to the barcode's own cap. Ties for the longest
@@ -117,7 +107,7 @@ def extract_features(
     else:
         f7 = f8 = 0.0
 
-    long_bars = [(birth, death) for birth, death in h1 if death - birth > long_bar_threshold]
+    long_bars = [(birth, death) for birth, death in h1 if death - birth > LONG_BAR_THRESHOLD]
     f9 = min((birth for birth, _ in long_bars), default=0.0)
     f10 = _mean([(birth + death) / 2.0 for birth, death in long_bars])
 
@@ -133,23 +123,12 @@ def extract_features(
     )
 
 
-def feature_category(index: int) -> str:
-    """Category of a feature index per the three-way taxonomy."""
-    for name, members in FEATURE_CATEGORIES.items():
-        if index in members:
-            return name
-    raise InputError(f"feature index must be in 1..14, got {index}")
-
-
-def feature_series(
-    barcodes: list[Barcode],
-    max_filtration: float | None = None,
-    long_bar_threshold: float = LONG_BAR_THRESHOLD,
-) -> list[FeatureVector]:
+def feature_series(barcodes: list[Barcode],
+                   max_filtration: float | None = None) -> list[FeatureVector]:
     """One FeatureVector per barcode, order preserved."""
     if not barcodes:
         raise InputError("feature series needs at least one barcode")
-    return [extract_features(b, max_filtration, long_bar_threshold) for b in barcodes]
+    return [extract_features(b, max_filtration) for b in barcodes]
 
 
 def feature_matrix(vectors: list[FeatureVector]) -> np.ndarray:

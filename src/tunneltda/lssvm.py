@@ -23,6 +23,9 @@ from .errors import ConditioningWarning, InputError, NumericalError
 
 CONDITION_WARN_THRESHOLD = 1e12
 KKT_RESIDUAL_TOL = 1e-8  # relative to the right-hand side
+# The (gamma, sigma) grid of the leave-one-out search.
+GAMMA_GRID = (1.0, 10.0, 100.0, 1000.0)
+SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -73,11 +76,6 @@ class LssvmModel:
     kernel: KernelSpec
     inputs: np.ndarray
     classification: bool = False
-
-    @property
-    def slacks(self) -> np.ndarray:
-        # Optimality ties each multiplier to its slack: alpha_i = gamma * e_i.
-        return self.alphas / self.gamma
 
 
 def gram_matrix(kernel: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -254,8 +252,8 @@ def _describe(gamma: float, kernel: KernelSpec) -> str:
 
 def select_hyperparameters(
     ts: TrainingSet,
-    gamma_grid: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0),
-    sigma_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
+    gamma_grid: tuple[float, ...] = GAMMA_GRID,
+    sigma_grid: tuple[float, ...] = SIGMA_GRID,
 ) -> tuple[float, KernelSpec, float]:
     """Grid search for the regressor: smallest mean LOO error wins.
 

@@ -28,8 +28,6 @@ from .topology import (Barcode, DEFAULT_MAX_FILTRATION, barcode_from_cloud,
 DEFAULT_THRESHOLD = 21.68
 DEFAULT_RAPID_RATIO = 10.0
 DEFAULT_SPLIT = 15
-GAMMA_GRID = (1.0, 10.0, 100.0, 1000.0)
-SIGMA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 EXPERIMENT_FEATURES = (2, 8, 13, 14)
 
 
@@ -87,9 +85,7 @@ class FeaturePredictor:
     x_std: float
 
     @classmethod
-    def fit(cls, events: np.ndarray, values: np.ndarray,
-            gamma_grid: tuple[float, ...] = GAMMA_GRID,
-            sigma_grid: tuple[float, ...] = SIGMA_GRID) -> "FeaturePredictor":
+    def fit(cls, events: np.ndarray, values: np.ndarray) -> "FeaturePredictor":
         """LOO grid search over (gamma, sigma) on standardized event indices.
 
         A constant target column short-circuits to the exact flat model
@@ -106,12 +102,12 @@ class FeaturePredictor:
         if np.ptp(values) == 0.0:
             model = lssvm.LssvmModel(
                 alphas=np.zeros(len(values)), bias=float(values[0]),
-                gamma=gamma_grid[0], kernel=lssvm.KernelSpec("rbf", sigma_grid[0]),
+                gamma=lssvm.GAMMA_GRID[0], kernel=lssvm.KernelSpec("rbf", lssvm.SIGMA_GRID[0]),
                 inputs=xs,
             )
             return cls(model, x_mean, x_std)
         ts = lssvm.TrainingSet(xs, values)
-        gamma, kernel, _ = lssvm.select_hyperparameters(ts, gamma_grid, sigma_grid)
+        gamma, kernel, _ = lssvm.select_hyperparameters(ts)
         return cls(lssvm.train_regressor(ts, gamma, kernel), x_mean, x_std)
 
     def predict(self, events: np.ndarray) -> np.ndarray:
@@ -169,8 +165,6 @@ class ExperimentReport:
 def run_feature_experiment(
     events: list[int], values: np.ndarray, truth: dict[int, float],
     feature_index: int, split: int = DEFAULT_SPLIT,
-    gamma_grid: tuple[float, ...] = GAMMA_GRID,
-    sigma_grid: tuple[float, ...] = SIGMA_GRID,
 ) -> tuple[ExperimentReport, FeaturePredictor]:
     """Train on events <= split, predict the rest, score against truth."""
     events = list(events)
@@ -185,7 +179,7 @@ def run_feature_experiment(
     test_events = np.array([events[i] for i in test_idx])
     train_values = values[train_idx]
 
-    predictor = FeaturePredictor.fit(train_events, train_values, gamma_grid, sigma_grid)
+    predictor = FeaturePredictor.fit(train_events, train_values)
     raw = predictor.predict(test_events)
     preds, guarded = _apply_trend_guard(train_values, raw)
 

@@ -57,9 +57,6 @@ class PointCloud:
         xy = np.array([[r[1], r[2]] for r in rows], dtype=float).reshape(len(rows), 2)
         return cls(ids, xy)
 
-    def diameter(self) -> float:
-        return float(compute_distance_matrix(self).d.max())
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -133,6 +130,7 @@ class Chain:
         return len(self.simplices)
 
 
+@dataclass(frozen=True, eq=False)
 class Filtration:
     """A capped complex up to triangles, held as sorted arrays.
 
@@ -141,79 +139,26 @@ class Filtration:
     holds each triangle's edges (ab, ac, bc) as indices into ``edges``, in
     the smallest unsigned type that holds m, with the triangle values in
     ``triangle_values``. Each array is in filtration order, by value and
-    then by vertex labels. ``triangles`` (t, 3) are the vertex labels
-    (a, b, c), derived from ``edges`` and ``facets`` on first access;
-    ``simplices`` is the same filtration as FiltSimplex objects in (value,
-    dim, vertices) order, built on first access. Both are for oracles and
-    tests; the engine reads neither.
+    then by vertex labels, and is made read-only. In the package only
+    ``build_vr_filtration`` makes one.
+
+    ``triangles`` (t, 3) are the vertex labels (a, b, c), derived from
+    ``edges`` and ``facets`` on first access; ``simplices`` is the same
+    filtration as FiltSimplex objects in (value, dim, vertices) order, built
+    on first access. Both stay for the brute-force oracle, the reference
+    reduction and the benchmark tracer; the engine reads neither.
     """
 
-    def __init__(self, simplices, max_filtration: float, max_dim: int = 2):
-        """Filtration from FiltSimplex objects already in sort_key order.
+    n_vertices: int
+    edges: np.ndarray
+    edge_values: np.ndarray
+    facets: np.ndarray
+    triangle_values: np.ndarray
+    max_filtration: float
 
-        The vertices must be (0,), (1,), ... at scale 0, and every face of
-        an edge or triangle must come before it.
-        """
-        simplices = tuple(simplices)
-        keys = [s.sort_key() for s in simplices]
-        if keys != sorted(keys):
-            raise InputError("filtration simplices are not in sorted order")
-        by_dim: tuple[list, list, list] = ([], [], [])
-        seen = set()
-        for s in simplices:
-            if s.value > max_filtration:
-                raise InputError(
-                    f"simplex {s.vertices} has value {s.value} above the cap {max_filtration}"
-                )
-            missing = boundary(s).simplices - seen
-            if missing:
-                raise InputError(f"simplex {s.vertices} enters before its face {min(missing)}")
-            seen.add(s.vertices)
-            by_dim[s.dim].append(s)
-        verts, edges, tris = by_dim
-        if [s.vertices for s in verts] != [(i,) for i in range(len(verts))] \
-                or any(s.value != 0.0 for s in verts):
-            raise InputError("vertices must be labelled 0..n-1 and enter at scale 0")
-        edge_array = np.array([s.vertices for s in edges], dtype=np.intp).reshape(-1, 2)
-        self._set_arrays(
-            len(verts), edge_array, np.array([s.value for s in edges], dtype=float),
-            _facets_of(len(verts), edge_array,
-                       np.array([s.vertices for s in tris], dtype=np.intp).reshape(-1, 3)),
-            np.array([s.value for s in tris], dtype=float),
-            max_filtration, max_dim)
-        self.__dict__["simplices"] = simplices
-
-    @classmethod
-    def from_arrays(cls, n_vertices: int, edges: np.ndarray, edge_values: np.ndarray,
-                    triangles: np.ndarray, triangle_values: np.ndarray,
-                    max_filtration: float) -> "Filtration":
-        """Wrap arrays that are already in filtration order, unchecked.
-
-        Each triangle's facets are looked up by vertex pair.
-        """
-        return cls.from_facets(n_vertices, edges, edge_values,
-                               _facets_of(n_vertices, edges, triangles), triangle_values,
-                               max_filtration)
-
-    @classmethod
-    def from_facets(cls, n_vertices: int, edges: np.ndarray, edge_values: np.ndarray,
-                    facets: np.ndarray, triangle_values: np.ndarray,
-                    max_filtration: float) -> "Filtration":
-        """Wrap arrays that are already in filtration order, unchecked."""
-        f = cls.__new__(cls)
-        f._set_arrays(n_vertices, edges, edge_values, facets, triangle_values,
-                      max_filtration, 2)
-        return f
-
-    def _set_arrays(self, n_vertices, edges, edge_values, facets, triangle_values,
-                    max_filtration, max_dim):
-        for a in (edges, edge_values, facets, triangle_values):
+    def __post_init__(self):
+        for a in (self.edges, self.edge_values, self.facets, self.triangle_values):
             a.setflags(write=False)
-        self.n_vertices = int(n_vertices)
-        self.edges, self.edge_values = edges, edge_values
-        self.facets, self.triangle_values = facets, triangle_values
-        self.max_filtration = float(max_filtration)
-        self.max_dim = max_dim
 
     @cached_property
     def triangles(self) -> np.ndarray:
@@ -233,16 +178,6 @@ class Filtration:
 
     def __len__(self) -> int:
         return self.n_vertices + len(self.edge_values) + len(self.triangle_values)
-
-
-def _facets_of(n_vertices: int, edges: np.ndarray, triangles: np.ndarray) -> np.ndarray:
-    """Edge indices (ab, ac, bc) of each triangle (a, b, c), looked up in an
-    n x n table of edge indices."""
-    m = len(edges)
-    edge_index = np.zeros((n_vertices, n_vertices), dtype=np.min_scalar_type(m))
-    edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
-    a, b, c = triangles.T
-    return np.column_stack([edge_index[a, b], edge_index[a, c], edge_index[b, c]])
 
 
 class PersistencePair(NamedTuple):
@@ -299,7 +234,6 @@ def compute_distance_matrix(pc: PointCloud) -> DistanceMatrix:
 def build_vr_filtration(
     dm: DistanceMatrix,
     max_filtration: float = DEFAULT_MAX_FILTRATION,
-    max_dim: int = 2,
 ) -> Filtration:
     """Vietoris-Rips filtration up to triangles, capped at max_filtration.
 
@@ -328,8 +262,6 @@ def build_vr_filtration(
     """
     if not 0 < max_filtration < math.inf:
         raise InputError(f"max_filtration must be positive and finite, got {max_filtration}")
-    if max_dim != 2:
-        raise InputError("only max_dim=2 is supported")
     d, n = dm.d, dm.n
     # np.nonzero lists the edges in (i, j) order. The upper neighbours of v
     # are then j[start[v]:start[v + 1]], each at the (i, j) position of edge
@@ -379,8 +311,8 @@ def build_vr_filtration(
     facets = np.empty((len(tri_order), 3), dtype=id_type)
     for column, ids in enumerate((ab, ac, bc)):
         facets[:, column] = ids[tri_order]
-    return Filtration.from_facets(n, np.column_stack([i, j])[order], values, facets,
-                                  values[latest[tri_order]], max_filtration)
+    return Filtration(n, np.column_stack([i, j])[order], values, facets,
+                      values[latest[tri_order]], float(max_filtration))
 
 
 def boundary(s: FiltSimplex) -> Chain:

@@ -4,7 +4,9 @@ This is the package's previous distance formula and triangle enumeration,
 kept unchanged for the tests: every triple (i, j, k) is found by scanning the
 rows ``within[i] & within[j]`` of the n x n cap mask, edges in chunks of
 bounded size, and triangles are ordered by a stable sort of their float
-values. The engine's arrays must equal these array for array.
+values. Each triangle's facets are then looked up by vertex pair in an n x n
+table of edge indices (``facets_of``), not taken from the enumeration. The
+engine's arrays must equal these array for array.
 """
 
 import numpy as np
@@ -49,5 +51,17 @@ def reference_filtration(dm: DistanceMatrix, max_filtration: float) -> Filtratio
     a, b, c = tris.T
     tri_values = np.maximum(np.maximum(d[a, b], d[a, c]), d[b, c])
     tri_order = np.argsort(tri_values, kind="stable")
-    return Filtration.from_arrays(dm.n, edges[order], edge_values[order],
-                                  tris[tri_order], tri_values[tri_order], max_filtration)
+    edges = edges[order]
+    return Filtration(dm.n, edges, edge_values[order],
+                      facets_of(dm.n, edges, tris[tri_order]), tri_values[tri_order],
+                      float(max_filtration))
+
+
+def facets_of(n_vertices: int, edges: np.ndarray, triangles: np.ndarray) -> np.ndarray:
+    """Edge indices (ab, ac, bc) of each triangle (a, b, c), looked up in an
+    n x n table of edge indices."""
+    m = len(edges)
+    edge_index = np.zeros((n_vertices, n_vertices), dtype=np.min_scalar_type(m))
+    edge_index[edges[:, 0], edges[:, 1]] = np.arange(m)
+    a, b, c = triangles.T
+    return np.column_stack([edge_index[a, b], edge_index[a, c], edge_index[b, c]])

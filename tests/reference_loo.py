@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from tunneltda.lssvm import KernelSpec, TrainingSet, predict, train_regressor
+from tunneltda.lssvm import (GAMMA_GRID, SIGMA_GRID, KernelSpec, TrainingSet, predict,
+                             train_regressor)
 
 
 def loo_squared_errors(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> np.ndarray:
@@ -28,8 +29,8 @@ def loo_squared_errors(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> np.
 
 def select_hyperparameters(
     ts: TrainingSet,
-    gamma_grid: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0),
-    sigma_grid: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
+    gamma_grid: tuple[float, ...] = GAMMA_GRID,
+    sigma_grid: tuple[float, ...] = SIGMA_GRID,
 ) -> tuple[float, KernelSpec, float]:
     """Grid search for the regressor: smallest mean LOO error wins.
 

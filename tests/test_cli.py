@@ -246,3 +246,36 @@ def test_compute_ph_rejects_too_many_triangles(tmp_path, capsys):
     assert "500 blocks at max_filtration 20 give 20708500 triangle candidates" in err
     assert f"limit of {topology.MAX_TRIANGLE_CANDIDATES}" in err
     assert not list((tmp_path / "out").glob("barcode_*.csv"))
+
+
+def unreadable_input(tmp_path, case):
+    """Arguments for one malformed input or unusable path."""
+    manifest = tmp_path / "manifest.json"
+    entry = {"event": 0, "path": "snapshot.csv"}
+    if case == "manifest-is-a-list":
+        manifest.write_text(json.dumps([entry]))
+    elif case == "path-not-a-string":
+        manifest.write_text(json.dumps({"snapshots": [{"event": 0, "path": 5}]}))
+    else:
+        manifest.write_text(json.dumps({"snapshots": [entry]}))
+    if case == "snapshot-is-a-directory":
+        (tmp_path / "snapshot.csv").mkdir()
+    elif case == "snapshot-not-utf8":
+        (tmp_path / "snapshot.csv").write_bytes(b"block_id,x,y\n\xff,0.0,0.0\n")
+    if case in ("train-predict", "warn", "loadcalc"):
+        return [case, "--preset", "paper", "--out", tmp_path / "missing" / "out"]
+    if case == "run-all":
+        (tmp_path / "file").write_text("")
+        return ["run-all", "--preset", "paper", "--out-dir", tmp_path / "file" / "bundle"]
+    return ["compute-ph", "--manifest", manifest, "--out-dir", tmp_path / "out"]
+
+
+@pytest.mark.parametrize("case", [
+    "manifest-is-a-list", "path-not-a-string", "snapshot-is-a-directory",
+    "snapshot-not-utf8", "train-predict", "warn", "loadcalc", "run-all",
+])
+def test_unreadable_or_unwritable_input_is_input_error(tmp_path, capsys, case):
+    # the last four write --out under a missing directory or --out-dir under a file
+    assert run(unreadable_input(tmp_path, case)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err

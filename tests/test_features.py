@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tunneltda.errors import InputError
-from tunneltda.features import (FEATURE_CATEGORIES, extract_features, feature_category,
-                                feature_matrix, feature_series)
+from tunneltda.features import extract_features, feature_matrix, feature_series
 from tunneltda.topology import Barcode, PersistencePair
 
 from conftest import INF, bars
@@ -58,21 +57,6 @@ def test_censored_hole_bars():
 def test_longest_bar_tie_breaks_on_earliest_birth():
     vec = extract_features(bars((0, 0.0, INF), (1, 3.0, 5.0), (1, 1.0, 3.0), cap=10.0))
     assert vec.f7 == 1.0
-
-
-def test_categories_match_taxonomy():
-    assert feature_category(1) == "interaction-strength-and-distribution"
-    assert feature_category(4) == "physical"
-    assert feature_category(8) == "geometric"
-    members = sorted(i for group in FEATURE_CATEGORIES.values() for i in group)
-    assert members == list(range(1, 15))
-
-
-def test_category_rejects_out_of_range():
-    with pytest.raises(InputError):
-        feature_category(0)
-    with pytest.raises(InputError):
-        feature_category(15)
 
 
 def random_barcode(rng):

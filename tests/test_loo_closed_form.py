@@ -22,7 +22,7 @@ from tunneltda.topology import DEFAULT_MAX_FILTRATION
 import reference_loo
 
 PIPELINE_GRID = [(gamma, KernelSpec("rbf", sigma))
-                 for gamma in pipeline.GAMMA_GRID for sigma in pipeline.SIGMA_GRID]
+                 for gamma in lssvm.GAMMA_GRID for sigma in lssvm.SIGMA_GRID]
 
 
 def standardized(events) -> np.ndarray:
@@ -56,9 +56,8 @@ def assert_matches_reference(ts, grid, atol_scale=0.0):
 
 
 def assert_same_selection(ts):
-    grids = (pipeline.GAMMA_GRID, pipeline.SIGMA_GRID)
-    gamma, kernel, mse = select_hyperparameters(ts, *grids)
-    ref_gamma, ref_kernel, ref_mse = reference_loo.select_hyperparameters(ts, *grids)
+    gamma, kernel, mse = select_hyperparameters(ts)
+    ref_gamma, ref_kernel, ref_mse = reference_loo.select_hyperparameters(ts)
     assert (gamma, kernel) == (ref_gamma, ref_kernel)
     assert mse == pytest.approx(ref_mse, rel=1e-8)
 

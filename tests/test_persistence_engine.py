@@ -16,13 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
-from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, FiltSimplex, Filtration,
-                                build_vr_filtration, compute_distance_matrix,
-                                compute_persistence)
+from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, build_vr_filtration,
+                                compute_distance_matrix, compute_persistence)
 
 from conftest import make_cloud
 from oracle import rank_function_barcode
-from reference_filtration import reference_distance_matrix, reference_filtration
+from reference_filtration import facets_of, reference_distance_matrix, reference_filtration
 from reference_reduction import reference_persistence
 
 FILTRATION_ARRAYS = ("edges", "edge_values", "triangles", "triangle_values")
@@ -89,7 +88,7 @@ grid_clouds = st.integers(1, 12).flatmap(lambda n: st.tuples(
 def tied_cloud_and_cap(spec):
     step, cells, cap_fraction = spec
     cloud = make_cloud([(step * x, step * y) for x, y in cells])
-    return cloud, max(cap_fraction * cloud.diameter(), step)
+    return cloud, max(cap_fraction * compute_distance_matrix(cloud).d.max(), step)
 
 
 def tied_filtration(spec):
@@ -193,9 +192,10 @@ def test_engine_reads_facets_not_vertex_triples():
 
 
 def assert_facets_match_lookup(f):
-    """The build's facets == those from_arrays looks up from the vertex triples."""
-    looked_up = Filtration.from_arrays(f.n_vertices, f.edges, f.edge_values, f.triangles,
-                                       f.triangle_values, f.max_filtration)
+    """The build's facets == those looked up by vertex pair from the vertex triples."""
+    looked_up = Filtration(f.n_vertices, f.edges, f.edge_values,
+                           facets_of(f.n_vertices, f.edges, f.triangles), f.triangle_values,
+                           f.max_filtration)
     assert f.facets.dtype == looked_up.facets.dtype == np.min_scalar_type(len(f.edge_values))
     assert f.facets.shape == (len(f.triangle_values), 3)
     assert np.array_equal(f.facets, looked_up.facets)
@@ -214,25 +214,4 @@ def test_built_facets_match_lookup():
 @given(grid_clouds)
 def test_built_facets_match_lookup_on_tied_clouds(spec):
     assert_facets_match_lookup(tied_filtration(spec))
-
-
-def test_filtration_from_simplices_matches_built():
-    dm = compute_distance_matrix(make_cloud([(0, 0), (1, 0), (1, 1), (0, 1), (3, 3)]))
-    built = build_vr_filtration(dm, 2.0)
-    rebuilt = Filtration(built.simplices, 2.0)
-    assert np.array_equal(rebuilt.edges, built.edges)
-    assert np.array_equal(rebuilt.triangle_values, built.triangle_values)
-    assert compute_persistence(rebuilt) == compute_persistence(built)
-
-
-def test_filtration_rejects_missing_face():
-    with pytest.raises(InputError, match="face"):
-        Filtration((FiltSimplex((0,), 0.0), FiltSimplex((0, 1), 1.0)), 5.0)
-
-
-def test_filtration_rejects_unlabelled_or_late_vertices():
-    with pytest.raises(InputError, match="vertices"):
-        Filtration((FiltSimplex((1,), 0.0),), 5.0)
-    with pytest.raises(InputError, match="vertices"):
-        Filtration((FiltSimplex((0,), 0.5),), 5.0)
 

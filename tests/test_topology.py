@@ -6,7 +6,7 @@ import pytest
 
 from tunneltda.errors import InputError
 from tunneltda.topology import (
-    Barcode, Chain, DistanceMatrix, FiltSimplex, Filtration, PersistencePair,
+    Barcode, Chain, DistanceMatrix, FiltSimplex, PersistencePair,
     PointCloud, barcode_from_cloud, betti_numbers, boundary, boundary_of_chain,
     build_vr_filtration, compute_distance_matrix, compute_persistence,
 )
@@ -132,12 +132,6 @@ def test_faces_precede_cofaces():
                 if face:
                     assert face in seen or s.dim == 0
             seen.add(s.vertices)
-
-
-def test_filtration_rejects_unsorted():
-    with pytest.raises(InputError, match="sorted"):
-        Filtration((FiltSimplex((0,), 0.0), FiltSimplex((0, 1), 2.0),
-                    FiltSimplex((1,), 0.0)), 5.0)
 
 
 # ---------------------------------------------------------------------------
