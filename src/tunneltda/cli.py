@@ -9,10 +9,9 @@ written included), 2 numerical error, 3 warning triggered (warn/run-all with
 from __future__ import annotations
 
 import argparse
-import json
-import re
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 
@@ -21,41 +20,20 @@ from .errors import InputError, NumericalError
 from .features import feature_series
 from .topology import DEFAULT_MAX_FILTRATION
 
-BARCODE_FILE_RE = re.compile(r"barcode_(\d+)\.csv$")
-
 
 def _cmd_compute_ph(args) -> int:
     seq = dataio.load_sequence(args.manifest)
-    barcodes = pipeline.compute_barcodes(seq, args.max_filtration, args.keep_zero_bars)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for event, b in zip(seq.events, barcodes):
-        dataio.write_barcode(b, out_dir / pipeline.barcode_filename(event))
-    rows = pipeline.summary_rows(barcodes, feature_series(barcodes))
-    pipeline.write_summary(rows, out_dir / "summary.csv")
+    _, rows = pipeline.write_barcode_stage(seq, args.max_filtration, args.keep_zero_bars,
+                                           out_dir, out_dir / "summary.csv")
     for e, b0, f8, f14 in rows:
         print(f"event {e:3d}: beta0@0={b0}  f8={f8:.6g}  f14={f14}")
-    print(f"wrote {len(barcodes)} barcode files to {out_dir}")
+    print(f"wrote {len(rows)} barcode files to {out_dir}")
     return 0
 
 
-def _load_barcode_dir(barcode_dir: Path) -> tuple[list[int], list]:
-    found = {}
-    for p in sorted(barcode_dir.glob("barcode_*.csv")):
-        m = BARCODE_FILE_RE.search(p.name)
-        if m:
-            found[int(m.group(1))] = p
-    if not found:
-        raise InputError(f"no barcode_*.csv files in {barcode_dir}")
-    missing = [e for e in range(max(found) + 1) if e not in found]
-    if missing:
-        raise InputError(f"missing barcode file(s) for event(s) {missing} in {barcode_dir}")
-    events = sorted(found)
-    return events, [dataio.read_barcode(found[e]) for e in events]
-
-
 def _cmd_features(args) -> int:
-    events, barcodes = _load_barcode_dir(Path(args.barcode_dir))
+    events, barcodes = pipeline.read_barcode_dir(Path(args.barcode_dir))
     caps = {b.max_filtration for b in barcodes}
     cap = args.max_filtration
     if cap is None:
@@ -85,13 +63,12 @@ def _feature_source(args) -> tuple:
     values under --preset paper and None for a features file."""
     _reject_with_preset(args, "features")
     if args.preset == "paper":
-        _, t6 = dataio.fixtures()
-        if args.feature not in t6.features:
-            available = ", ".join(str(k) for k in sorted(t6.features))
+        events, series, truth = pipeline.paper_source()
+        if args.feature not in series:
+            available = ", ".join(str(k) for k in sorted(series))
             raise InputError(f"--feature {args.feature} is not in the paper fixture; "
                              f"available features: {available}")
-        fx = t6.features[args.feature]
-        return list(range(len(fx.y))), fx.y, fx.j
+        return events, series[args.feature], truth[args.feature]
     if args.features is None:
         raise InputError(f"{args.command} needs --features FILE or --preset paper")
     events, matrix = dataio.read_features(args.features)
@@ -113,14 +90,10 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
 
 
 def _cmd_train_predict(args) -> int:
-    events, values, truth = _feature_source(args)
-    if truth is None:  # a features file: the held-out events' own values
-        truth = {e: float(v) for e, v in zip(events, values) if e > args.split}
-    report, _ = pipeline.run_feature_experiment(
-        events, values, truth, args.feature, args.split)
+    report, _ = pipeline.run_feature_experiment(*_feature_source(args), args.feature, args.split)
     _print_experiment(report)
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        dataio.write_json(args.out, report.to_dict())
         print(f"wrote report to {args.out}")
     return 0
 
@@ -145,7 +118,7 @@ def _cmd_warn(args) -> int:
     for note in report.notes:
         print(f"note: {note}")
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        dataio.write_json(args.out, asdict(report))
         print(f"wrote report to {args.out}")
     if report.triggered and args.gate:
         return 3
@@ -298,7 +271,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

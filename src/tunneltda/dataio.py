@@ -13,11 +13,14 @@ Formats (all plain text, numbers written with full round-trip precision):
   summary   CSV ``event,beta0_at_0,f8,f14`` (``summary.csv``)
   plots     CSV ``event,f8`` (``plot_f8_series.csv``) and ``event,f14``
             (``plot_hole_counts.csv``)
+  reports   JSON with sorted keys and a two-space indent (``experiment.json``,
+            ``warning.json`` and the ``--out`` of train-predict and warn),
+            written by ``write_json``
 
 Every CSV table goes through ``write_table`` and ``_read_table``. Malformed
-content raises InputError; a path that cannot be read or written, or a file
-that is not UTF-8, raises the OSError or UnicodeDecodeError as it comes, and
-the command line reports those as input errors too.
+content, or a table or manifest that is not UTF-8, raises InputError naming
+the file; a path that cannot be read or written raises the OSError as it
+comes, and the command line reports that as an input error too.
 """
 
 from __future__ import annotations
@@ -53,13 +56,20 @@ def write_table(path: str | Path, header: str, rows, preamble: str | None = None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_table(path: Path, kind: str, header: str, n_fields: int,
                 preamble: str | None = None,
                 empty_ok: bool = False) -> tuple[str | None, list[tuple[int, list[str]]]]:
     """(rest of the preamble line or None, non-blank rows as (line number, fields))."""
     if not path.exists():
         raise InputError(f"{kind} file not found: {path}")
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     value = None
     if preamble is not None:
         if not lines or not lines[0].startswith(preamble):
@@ -169,7 +179,7 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
     if not manifest_path.exists():
         raise InputError(f"manifest not found: {manifest_path}")
     try:
-        doc = json.loads(manifest_path.read_text())
+        doc = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{manifest_path}: invalid JSON: {exc}") from None
     entries = doc.get("snapshots") if isinstance(doc, dict) else None
@@ -178,13 +188,13 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
     events, clouds = [], []
     for entry in entries:
         try:
-            event = int(entry["event"])
-            rel = entry["path"]
-        except (KeyError, TypeError, ValueError):
-            rel = None
-        if not isinstance(rel, str):
-            raise InputError(f"{manifest_path}: each snapshot entry needs an 'event' "
-                             "and a string 'path'")
+            event, rel = entry["event"], entry["path"]
+        except (KeyError, TypeError):
+            event = rel = None
+        # type(), not isinstance: a JSON true is a bool, which is an int
+        if type(event) is not int or not isinstance(rel, str):
+            raise InputError(f"{manifest_path}: each snapshot entry needs an integer "
+                             f"'event' and a string 'path', got {entry!r}")
         events.append(event)
         clouds.append(load_snapshot(manifest_path.parent / rel))
     return SnapshotSequence(tuple(events), tuple(clouds))
@@ -255,7 +265,11 @@ def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# models
+# JSON reports and models
+
+def write_json(path: str | Path, doc) -> None:
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
 
 def write_model(model: LssvmModel, x_mean: float, x_std: float,
                 path: str | Path) -> None:

@@ -10,11 +10,11 @@ typical drop seen so far.
 
 from __future__ import annotations
 
-import json
 import math
+import re
 import statistics
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,22 +55,45 @@ def compute_barcodes(seq: SnapshotSequence,
     return barcodes
 
 
-def summary_rows(barcodes: list[Barcode],
-                 vectors: list[features.FeatureVector]) -> list[tuple[int, int, float, int]]:
-    """Per event: (event, components at scale 0, longest hole bar, hole count)."""
-    return [(event, betti_numbers(b, 0.0)[0], vec.f8, vec.f14)
-            for event, (b, vec) in enumerate(zip(barcodes, vectors))]
-
-
 SUMMARY_HEADER = "event,beta0_at_0,f8,f14"
+BARCODE_FILE_RE = re.compile(r"barcode_(\d+)\.csv$")
 
 
 def barcode_filename(event: int) -> str:
     return f"barcode_{event:03d}.csv"
 
 
-def write_summary(rows: list[tuple[int, int, float, int]], path: str | Path) -> None:
-    dataio.write_table(path, SUMMARY_HEADER, rows)
+def read_barcode_dir(barcode_dir: Path) -> tuple[list[int], list[Barcode]]:
+    """The events and barcodes of the barcode_NNN.csv files in barcode_dir,
+    which must cover events 0..max without gaps."""
+    found = {}
+    for p in sorted(barcode_dir.glob("barcode_*.csv")):
+        m = BARCODE_FILE_RE.search(p.name)
+        if m:
+            found[int(m.group(1))] = p
+    if not found:
+        raise InputError(f"no barcode_*.csv files in {barcode_dir}")
+    missing = [e for e in range(max(found) + 1) if e not in found]
+    if missing:
+        raise InputError(f"missing barcode file(s) for event(s) {missing} in {barcode_dir}")
+    events = sorted(found)
+    return events, [dataio.read_barcode(found[e]) for e in events]
+
+
+def write_barcode_stage(seq: SnapshotSequence, max_filtration: float, keep_zero_bars: bool,
+                        barcode_dir: Path, summary_path: Path) -> tuple[list, list]:
+    """Write each snapshot's barcode file under barcode_dir, extract the
+    features once and write the summary: per event (event, components at
+    scale 0, longest hole bar, hole count). Returns (vectors, summary rows)."""
+    barcodes = compute_barcodes(seq, max_filtration, keep_zero_bars)
+    barcode_dir.mkdir(parents=True, exist_ok=True)
+    for event, b in zip(seq.events, barcodes):
+        dataio.write_barcode(b, barcode_dir / barcode_filename(event))
+    vectors = features.feature_series(barcodes, max_filtration)
+    rows = [(event, betti_numbers(b, 0.0)[0], vec.f8, vec.f14)
+            for event, b, vec in zip(seq.events, barcodes, vectors)]
+    dataio.write_table(summary_path, SUMMARY_HEADER, rows)
+    return vectors, rows
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +186,11 @@ class ExperimentReport:
 
 
 def run_feature_experiment(
-    events: list[int], values: np.ndarray, truth: dict[int, float],
+    events: list[int], values: np.ndarray, truth: dict[int, float] | None,
     feature_index: int, split: int = DEFAULT_SPLIT,
 ) -> tuple[ExperimentReport, FeaturePredictor]:
-    """Train on events <= split, predict the rest, score against truth."""
+    """Train on events <= split, predict the rest, score against truth:
+    by event, or None for the held-out events' own values."""
     events = list(events)
     values = np.asarray(values, dtype=float)
     train_idx = [i for i, e in enumerate(events) if e <= split]
@@ -178,6 +202,8 @@ def run_feature_experiment(
     train_events = np.array([events[i] for i in train_idx])
     test_events = np.array([events[i] for i in test_idx])
     train_values = values[train_idx]
+    if truth is None:
+        truth = {events[i]: float(values[i]) for i in test_idx}
 
     predictor = FeaturePredictor.fit(train_events, train_values)
     raw = predictor.predict(test_events)
@@ -203,7 +229,7 @@ def run_feature_experiment(
     ), predictor
 
 
-def _paper_source() -> tuple[list[int], dict[int, np.ndarray], dict[int, dict[int, float]]]:
+def paper_source() -> tuple[list[int], dict[int, np.ndarray], dict[int, dict[int, float]]]:
     """The bundled published series: events, values and held-out truth by feature."""
     _, t6 = dataio.fixtures()
     return (list(range(21)), {k: np.array(fx.y) for k, fx in t6.features.items()},
@@ -214,7 +240,7 @@ def run_table6_experiment(feature_indices: tuple[int, ...] = EXPERIMENT_FEATURES
                           split: int = DEFAULT_SPLIT) -> dict[int, ExperimentReport]:
     """Fixture-driven experiment: train on the published series, score against
     the published held-out values."""
-    events, series, truth = _paper_source()
+    events, series, truth = paper_source()
     return {k: run_feature_experiment(events, series[k], truth[k], k, split)[0]
             for k in feature_indices}
 
@@ -232,18 +258,6 @@ class WarningReport:
     rapid_change_ratio: float
     at_threshold_events: tuple[int, ...] = ()
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "triggered": self.triggered,
-            "trigger_event": self.trigger_event,
-            "criterion": self.criterion,
-            "series": list(self.series),
-            "threshold": self.threshold,
-            "rapid_change_ratio": self.rapid_change_ratio,
-            "at_threshold_events": list(self.at_threshold_events),
-            "notes": list(self.notes),
-        }
 
 
 def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
@@ -318,30 +332,21 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
     written = {}
 
     if seq is None:
-        events, series, truth = _paper_source()
+        events, series, truth = paper_source()
         model_dir = None
     else:
         with _stage("compute-ph"):
-            barcodes = compute_barcodes(seq, max_filtration)
-        barcode_dir = out_dir / "barcodes"
-        barcode_dir.mkdir(exist_ok=True)
-        for event, b in zip(seq.events, barcodes):
-            dataio.write_barcode(b, barcode_dir / barcode_filename(event))
-        written["barcodes"] = str(barcode_dir)
-
-        with _stage("features"):
-            vectors = features.feature_series(barcodes, max_filtration)
+            vectors, _ = write_barcode_stage(seq, max_filtration, False, out_dir / "barcodes",
+                                             out_dir / "summary.csv")
         events = list(seq.events)
         dataio.write_features(events, vectors, out_dir / "features.csv")
+        written["barcodes"] = str(out_dir / "barcodes")
         written["features"] = str(out_dir / "features.csv")
-
-        write_summary(summary_rows(barcodes, vectors), out_dir / "summary.csv")
         written["summary"] = str(out_dir / "summary.csv")
 
         matrix = features.feature_matrix(vectors)
         series = {k: matrix[:, k - 1] for k in EXPERIMENT_FEATURES}
-        truth = {k: {e: float(v) for e, v in zip(events, column) if e > split}
-                 for k, column in series.items()}
+        truth = dict.fromkeys(EXPERIMENT_FEATURES)  # None: the held-out events' own values
         model_dir = out_dir / "models"
 
     reports = {}
@@ -354,15 +359,13 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
                 dataio.write_model(predictor.model, predictor.x_mean,
                                    predictor.x_std, model_dir / f"model_f{k}.json")
 
-    experiment_doc = {str(k): reports[k].to_dict() for k in sorted(reports)}
-    (out_dir / "experiment.json").write_text(
-        json.dumps(experiment_doc, indent=2, sort_keys=True) + "\n")
+    dataio.write_json(out_dir / "experiment.json",
+                      {str(k): reports[k].to_dict() for k in sorted(reports)})
     written["experiment"] = str(out_dir / "experiment.json")
 
     with _stage("warn"):
         warning = detect_warning(series[8], threshold, rapid_change_ratio)
-    (out_dir / "warning.json").write_text(
-        json.dumps(warning.to_dict(), indent=2, sort_keys=True) + "\n")
+    dataio.write_json(out_dir / "warning.json", asdict(warning))
     written["warning"] = str(out_dir / "warning.json")
 
     dataio.write_table(out_dir / "plot_f8_series.csv", "event,f8", enumerate(series[8]))

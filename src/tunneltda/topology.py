@@ -412,11 +412,10 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
     apparent_edges = latest[apparent_tris]
 
-    births = edge_values[apparent_edges]
-    deaths = tri_values[apparent_tris]
-    keep = slice(None) if keep_zero_bars else deaths > births
-    pairs += [PersistencePair(1, x, y)
-              for x, y in zip(births[keep].tolist(), deaths[keep].tolist())]
+    # An apparent pair's triangle enters with its latest facet, the edge
+    # itself, so its bar has zero length.
+    if keep_zero_bars:
+        pairs += [PersistencePair(1, x, x) for x in edge_values[apparent_edges].tolist()]
 
     pivot_owner = dict(zip(apparent_tris.tolist(), apparent_edges.tolist()))
     reduced: dict[int, np.ndarray] = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_trigger_at_event_zero_is_explained_on_stdout(tmp_path, capsys, command)
     _, t6 = dataio.fixtures()
     report = pipeline.detect_warning(t6.features[8].y, 30.0)
     assert (out / "warning.json").read_text() == \
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 def test_compute_ph_extracts_features_once_per_event(tmp_path, capsys, monkeypatch):
@@ -248,6 +249,45 @@ def test_compute_ph_rejects_too_many_triangles(tmp_path, capsys):
     assert not list((tmp_path / "out").glob("barcode_*.csv"))
 
 
+@pytest.mark.parametrize("events", [(0.9, 1), (0, True), ("0", 1)])
+def test_manifest_event_must_be_a_json_integer(tmp_path, capsys, events):
+    # int() would read each of these as a valid event index
+    (tmp_path / "snapshot.csv").write_text("block_id,x,y\nb0,0.0,0.0\nb1,1.0,0.0\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"snapshots": [{"event": e, "path": "snapshot.csv"} for e in events]}))
+    assert run(["compute-ph", "--manifest", manifest, "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {manifest}: each snapshot entry needs an integer 'event'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_stage_commands_reproduce_run_all(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["synth", "--seed", 3, "--n-blocks", 16, "--n-events", 8,
+         "--ring-radius", 8, "--out-dir", data])
+    manifest, bundle, stages = data / "manifest.json", tmp_path / "bundle", tmp_path / "stages"
+    assert run(["run-all", "--manifest", manifest, "--max-filtration", 20, "--split", 5,
+                "--out-dir", bundle]) == 0
+    assert run(["compute-ph", "--manifest", manifest, "--max-filtration", 20,
+                "--out-dir", stages]) == 0
+    assert run(["features", "--barcode-dir", stages, "--out", stages / "features.csv"]) == 0
+    assert run(["train-predict", "--features", stages / "features.csv", "--feature", 8,
+                "--split", 5, "--out", stages / "report.json"]) == 0
+    assert run(["warn", "--features", stages / "features.csv",
+                "--out", stages / "warning.json"]) == 0
+    capsys.readouterr()
+    names = sorted(p.name for p in (bundle / "barcodes").iterdir())
+    assert names == sorted(p.name for p in stages.glob("barcode_*.csv"))
+    assert len(names) == 9
+    for name in names:
+        assert (bundle / "barcodes" / name).read_bytes() == (stages / name).read_bytes()
+    for name in ("summary.csv", "features.csv", "warning.json"):
+        assert (bundle / name).read_bytes() == (stages / name).read_bytes()
+    assert json.loads((bundle / "experiment.json").read_text())["8"] == \
+        json.loads((stages / "report.json").read_text())
+
+
 def unreadable_input(tmp_path, case):
     """Arguments for one malformed input or unusable path."""
     manifest = tmp_path / "manifest.json"
@@ -279,3 +319,5 @@ def test_unreadable_or_unwritable_input_is_input_error(tmp_path, capsys, case):
     assert run(unreadable_input(tmp_path, case)) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "Traceback" not in err
+    if case == "snapshot-not-utf8":
+        assert str(tmp_path / "snapshot.csv") in err

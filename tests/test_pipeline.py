@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -150,7 +151,7 @@ def test_run_all_fixture_mode_reproduces_stage_results(tmp_path):
     experiment = json.loads((out / "experiment.json").read_text())
     warning = json.loads((out / "warning.json").read_text())
     assert warning["triggered"] and warning["trigger_event"] == 5
-    assert warning == report.to_dict()
+    assert warning == json.loads(json.dumps(dataclasses.asdict(report)))
     assert sorted(Path(p).name for p in written.values()) == [
         "experiment.json", "plot_f8_series.csv", "plot_hole_counts.csv", "warning.json"]
     assert warning["at_threshold_events"] == [4]
