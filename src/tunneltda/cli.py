@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute-ph, features, train-predict, warn, loadcalc, synth,
-run-all. Exit codes: 0 success, 1 input error (a path that cannot be read or
-written included), 2 numerical error, 3 warning triggered (warn/run-all with
---gate).
+run-all. Exit codes: 0 success, 1 input error (a usage error and a path that
+cannot be read or written included), 2 numerical error, 3 warning triggered
+(warn/run-all with --gate).
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .topology import DEFAULT_MAX_FILTRATION
 def _cmd_compute_ph(args) -> int:
     seq = dataio.load_sequence(args.manifest)
     out_dir = Path(args.out_dir)
-    _, rows = pipeline.write_barcode_stage(seq, args.max_filtration, args.keep_zero_bars,
-                                           out_dir, out_dir / "summary.csv")
+    _, rows = pipeline.write_barcode_stage(seq, args.max_filtration, out_dir,
+                                           out_dir / "summary.csv")
     for e, b0, f8, f14 in rows:
         print(f"event {e:3d}: beta0@0={b0}  f8={f8:.6g}  f14={f14}")
     print(f"wrote {len(rows)} barcode files to {out_dir}")
@@ -199,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-ph", help="barcodes for every snapshot in a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--max-filtration", type=float, default=DEFAULT_MAX_FILTRATION)
-    p.add_argument("--keep-zero-bars", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_compute_ph)
 
@@ -268,7 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 2:  # argparse's usage error, after its message on stderr
+            return 1
+        raise
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

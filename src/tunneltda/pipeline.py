@@ -22,8 +22,7 @@ import numpy as np
 from . import dataio, features, lssvm
 from .dataio import SnapshotSequence
 from .errors import InputError, NumericalError
-from .topology import (Barcode, DEFAULT_MAX_FILTRATION, barcode_from_cloud,
-                       betti_numbers)
+from .topology import Barcode, DEFAULT_MAX_FILTRATION, barcode_from_cloud
 
 DEFAULT_THRESHOLD = 21.68
 DEFAULT_RAPID_RATIO = 10.0
@@ -45,13 +44,12 @@ def _stage(name: str):
 # persistence and features
 
 def compute_barcodes(seq: SnapshotSequence,
-                     max_filtration: float = DEFAULT_MAX_FILTRATION,
-                     keep_zero_bars: bool = False) -> list[Barcode]:
+                     max_filtration: float = DEFAULT_MAX_FILTRATION) -> list[Barcode]:
     """One barcode per snapshot, in event order."""
     barcodes = []
     for event, cloud in zip(seq.events, seq.clouds):
         with _stage(f"persistence event {event}"):
-            barcodes.append(barcode_from_cloud(cloud, max_filtration, keep_zero_bars))
+            barcodes.append(barcode_from_cloud(cloud, max_filtration))
     return barcodes
 
 
@@ -80,18 +78,19 @@ def read_barcode_dir(barcode_dir: Path) -> tuple[list[int], list[Barcode]]:
     return events, [dataio.read_barcode(found[e]) for e in events]
 
 
-def write_barcode_stage(seq: SnapshotSequence, max_filtration: float, keep_zero_bars: bool,
+def write_barcode_stage(seq: SnapshotSequence, max_filtration: float,
                         barcode_dir: Path, summary_path: Path) -> tuple[list, list]:
     """Write each snapshot's barcode file under barcode_dir, extract the
     features once and write the summary: per event (event, components at
-    scale 0, longest hole bar, hole count). Returns (vectors, summary rows)."""
-    barcodes = compute_barcodes(seq, max_filtration, keep_zero_bars)
+    scale 0, longest hole bar, hole count). Every bar has positive length,
+    so the components at scale 0 are the dim-0 bar count, f13. Returns
+    (vectors, summary rows)."""
+    barcodes = compute_barcodes(seq, max_filtration)
     barcode_dir.mkdir(parents=True, exist_ok=True)
     for event, b in zip(seq.events, barcodes):
         dataio.write_barcode(b, barcode_dir / barcode_filename(event))
     vectors = features.feature_series(barcodes, max_filtration)
-    rows = [(event, betti_numbers(b, 0.0)[0], vec.f8, vec.f14)
-            for event, b, vec in zip(seq.events, barcodes, vectors)]
+    rows = [(event, vec.f13, vec.f8, vec.f14) for event, vec in zip(seq.events, vectors)]
     dataio.write_table(summary_path, SUMMARY_HEADER, rows)
     return vectors, rows
 
@@ -336,7 +335,7 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
         model_dir = None
     else:
         with _stage("compute-ph"):
-            vectors, _ = write_barcode_stage(seq, max_filtration, False, out_dir / "barcodes",
+            vectors, _ = write_barcode_stage(seq, max_filtration, out_dir / "barcodes",
                                              out_dir / "summary.csv")
         events = list(seq.events)
         dataio.write_features(events, vectors, out_dir / "features.csv")

@@ -335,7 +335,7 @@ def boundary_of_chain(c: Chain) -> Chain:
     return total
 
 
-def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
+def compute_persistence(f: Filtration) -> Barcode:
     """Barcode by union-find for H0 and cohomology reduction for H1, over Z2.
 
     H0: Kruskal union-find over the sorted edges, with path halving. An edge
@@ -363,8 +363,9 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     class still open at the cap and gets infinite death.
 
     The pairing equals that of the standard boundary reduction in (value,
-    dim, vertices) order. Pairs with zero persistence are dropped unless
-    keep_zero_bars is set.
+    dim, vertices) order. Only bars with death > birth are reported: a
+    zero-length bar, such as every apparent pair's, is not a hole or a
+    component at any scale.
     """
     n, edges = f.n_vertices, f.edges
     edge_values, tri_values = f.edge_values, f.triangle_values
@@ -390,9 +391,7 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
             if components == 1:
                 break
     deaths = edge_values[forest]
-    if not keep_zero_bars:
-        deaths = deaths[deaths > 0.0]
-    pairs += [PersistencePair(0, 0.0, x) for x in deaths.tolist()]
+    pairs += [PersistencePair(0, 0.0, x) for x in deaths[deaths > 0.0].tolist()]
     pairs += [PersistencePair(0, 0.0, math.inf)] * components
 
     # The cofaces of each edge as ascending triangle indices:
@@ -413,10 +412,7 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
     apparent_edges = latest[apparent_tris]
 
     # An apparent pair's triangle enters with its latest facet, the edge
-    # itself, so its bar has zero length.
-    if keep_zero_bars:
-        pairs += [PersistencePair(1, x, x) for x in edge_values[apparent_edges].tolist()]
-
+    # itself, so its bar has zero length and is not reported.
     pivot_owner = dict(zip(apparent_tris.tolist(), apparent_edges.tolist()))
     reduced: dict[int, np.ndarray] = {}
     col = np.zeros(n_tris + 1, dtype=bool)
@@ -451,7 +447,7 @@ def compute_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcode:
             death = float(tri_values[pivot])
         else:
             death = math.inf
-        if keep_zero_bars or death > birth:
+        if death > birth:
             pairs.append(PersistencePair(1, birth, death))
     pairs.sort()
     return Barcode(tuple(pairs), f.max_filtration)
@@ -472,12 +468,8 @@ def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
-def barcode_from_cloud(
-    pc: PointCloud,
-    max_filtration: float = DEFAULT_MAX_FILTRATION,
-    keep_zero_bars: bool = False,
-) -> Barcode:
+def barcode_from_cloud(pc: PointCloud, max_filtration: float = DEFAULT_MAX_FILTRATION) -> Barcode:
     """Convenience: distance matrix -> VR filtration -> barcode."""
     dm = compute_distance_matrix(pc)
     f = build_vr_filtration(dm, max_filtration)
-    return compute_persistence(f, keep_zero_bars=keep_zero_bars)
+    return compute_persistence(f)

@@ -321,3 +321,22 @@ def test_unreadable_or_unwritable_input_is_input_error(tmp_path, capsys, case):
     assert err.startswith("input error: ") and "Traceback" not in err
     if case == "snapshot-not-utf8":
         assert str(tmp_path / "snapshot.csv") in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["compute-ph", "--manifest", "m.json", "--out-dir", "out", "--keep-zero-bars"],
+     "--keep-zero-bars"),
+    (["run-all", "--split", "abc", "--out-dir", "out"], "--split"),
+    (["compute-ph", "--manifest", "m.json"], "--out-dir"),
+])
+def test_usage_error_exits_one_with_argparse_message(capsys, args, flag):
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and flag in err and "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["compute-ph", "--help"])
+    assert exc.value.code == 0
+    assert "--manifest" in capsys.readouterr().out

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from tunneltda import dataio, features, pipeline
+from tunneltda.dataio import SnapshotSequence
 from tunneltda.errors import InputError
 from tunneltda.pipeline import (FeaturePredictor, detect_warning, run_all,
                                 run_feature_experiment, run_table6_experiment)
 from tunneltda.synth import ScenarioConfig, generate_sequence
+from tunneltda.topology import PointCloud, betti_numbers
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +145,22 @@ def small_scenario():
     return generate_sequence(ScenarioConfig(n_blocks=18, n_events=8, seed=5,
                                             ring_radius=8.0, collapse_rate=0.4,
                                             jitter=0.04))
+
+
+def test_barcode_stage_writes_no_zero_length_bar(tmp_path):
+    # a block coinciding with another merges at scale 0 and fills every
+    # triangle it closes at once: zero-length bars in dims 0 and 1
+    seq = small_scenario()
+    clouds = tuple(PointCloud(c.ids + ("twin",), np.vstack([c.xy, c.xy[:1]])) for c in seq.clouds)
+    seq = SnapshotSequence(seq.events, clouds)
+    vectors, _ = pipeline.write_barcode_stage(seq, 25.0, tmp_path, tmp_path / "summary.csv")
+    summary = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert len(summary) == len(seq.events)
+    for event, line, vec in zip(seq.events, summary, vectors):
+        b = dataio.read_barcode(tmp_path / pipeline.barcode_filename(event))
+        assert b.pairs and all(p.death > p.birth for p in b.pairs)
+        beta0 = int(line.split(",")[1])
+        assert beta0 == betti_numbers(b, 0.0)[0] == vec.f13 == len(seq.clouds[event]) - 1
 
 
 def test_run_all_fixture_mode_reproduces_stage_results(tmp_path):

@@ -190,13 +190,12 @@ def test_single_point_barcode():
     assert b.pairs == (PersistencePair(0, 0.0, math.inf),)
 
 
-def test_keep_zero_bars():
+def test_filled_triangle_gives_no_hole_bar():
+    # the 3-cycle closes and is filled at the same scale: a zero-length bar,
+    # which the engine does not report
     f = build_vr_filtration(compute_distance_matrix(equilateral()), 2.0)
-    full = compute_persistence(f, keep_zero_bars=True)
-    # the 3-cycle is filled the moment it closes
-    zero = [p for p in full.in_dim(1) if p.birth == p.death]
-    assert len(zero) == 1
-    assert len(compute_persistence(f).in_dim(1)) == 0
+    assert f.triangle_values.tolist() == [f.edge_values[-1]]
+    assert compute_persistence(f).in_dim(1) == ()
 
 
 def test_one_essential_component_when_cap_covers_diameter():
