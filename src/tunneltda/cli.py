@@ -84,8 +84,10 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
         truth = report.truth.get(e)
         err = report.rel_errors.get(e)
         line = f"  event {e}: predicted {report.predictions[e]:.4f}"
-        if truth is not None:
+        if err is not None:
             line += f"  truth {truth:.4f}  error {100 * err:.2f}%"
+        elif truth is not None:
+            line += f"  truth {truth:.4f}  error undefined (truth 0)"
         print(line)
 
 

@@ -268,7 +268,7 @@ def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
 # JSON reports and models
 
 def write_json(path: str | Path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_model(model: LssvmModel, x_mean: float, x_std: float,

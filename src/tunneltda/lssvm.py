@@ -179,70 +179,113 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
 
     Leaving sample i out of an LS-SVM changes its prediction at x_i by
     exactly c_i / (A^-1)_ii, where A is the bordered KKT matrix of the full
-    set and c its solution (Cawley & Talbot, Fast exact leave-one-out
-    cross-validation of sparse least-squares support vector machines,
-    Neural Networks 2004). So one factorisation per grid point replaces m
-    retrains. The grid's matrices are stacked and share one eigh call,
-    A = V diag(lam) V^T, which gives the 2-norm condition number
-    max|lam| / min|lam|, the solution z = V diag(1/lam) V^T [0; y] and
-    diag(A^-1) = (V * V) @ (1/lam).
+    set and z = [b; c] its solution (Cawley & Talbot, Fast exact
+    leave-one-out cross-validation of sparse least-squares support vector
+    machines, Neural Networks 2004). So no model is retrained, and
+    _loo_factored gets every grid point's errors from one eigendecomposition
+    per distinct kernel, along with an upper bound on the point's condition
+    number.
 
-    Each grid point, in grid order, gets the checks of _solve: gamma > 0,
-    the conditioning warning and a finite solution with a small KKT
-    residual. A zero or non-finite diagonal of A^-1 is a NumericalError
-    too. Returns a (len(grid), m) array.
+    Each grid point gets the checks of _solve: gamma > 0, the conditioning
+    warning and a finite solution with a small KKT residual; a zero or
+    non-finite diagonal of A^-1 is a NumericalError too. A point whose bound
+    is not within the conditioning threshold, or that fails a check, gets
+    its exact 2-norm condition number from the eigenvalues of its own
+    bordered matrix, and then, in grid order, warns if that number exceeds
+    the threshold and raises if a check failed. Returns a (len(grid), m)
+    array.
     """
     for gamma, _ in grid:
         if not gamma > 0:
             raise InputError(f"gamma must be positive, got {gamma}")
     if not grid:
         raise InputError("hyperparameter grid is empty")
-    m = ts.m
-    sq = _squared_distances(ts.inputs, ts.inputs)
-    A = np.zeros((len(grid), m + 1, m + 1))
-    A[:, 0, 1:] = 1.0
-    A[:, 1:, 0] = 1.0
-    grams = {}
-    diag = np.arange(1, m + 1)
-    for g, (gamma, kernel) in enumerate(grid):
-        if kernel not in grams:
-            grams[kernel] = (_rbf(sq, kernel.sigma) if kernel.kind == "rbf"
-                             else gram_matrix(kernel, ts.inputs, ts.inputs))
-        A[g, 1:, 1:] = grams[kernel]
-        A[g, diag, diag] += 1.0 / gamma
-    rhs = np.concatenate(([0.0], ts.targets))
-    try:
-        lam, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"KKT eigendecomposition failed: {exc}") from exc
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_lam = 1.0 / lam
-        z = V @ (inv_lam * (rhs @ V))[:, :, None]
-        inv_diag = ((V[:, 1:, :] ** 2) @ inv_lam[:, :, None])[:, :, 0]
-        errs = (z[:, 1:, 0] / inv_diag) ** 2
-        abs_lam = np.abs(lam)
-        cond = abs_lam.max(axis=1) / abs_lam.min(axis=1)
-        residual = (np.abs(A @ z - rhs[:, None]).max(axis=(1, 2))
-                    / max(1.0, np.abs(rhs).max()))
-    for g, (gamma, kernel) in enumerate(grid):
-        if cond[g] > CONDITION_WARN_THRESHOLD:
+    errs, residual, bound = _loo_factored(ts, grid)
+    solved = residual <= KKT_RESIDUAL_TOL  # false for a non-finite solution too
+    loo_ok = np.isfinite(errs).all(axis=1)
+    for g in np.flatnonzero(~(bound <= CONDITION_WARN_THRESHOLD) | ~solved | ~loo_ok):
+        gamma, kernel = grid[g]
+        try:
+            lam = np.abs(np.linalg.eigvalsh(_kkt_system(ts, gamma, kernel)[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"KKT eigendecomposition failed: {exc}") from exc
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = lam.max() / lam.min()
+        if cond > CONDITION_WARN_THRESHOLD:
             warnings.warn(
-                f"KKT system condition number {cond[g]:.3g} exceeds "
+                f"KKT system condition number {cond:.3g} exceeds "
                 f"{CONDITION_WARN_THRESHOLD:.0e} at {_describe(gamma, kernel)}; leave-one-out "
                 "errors may be inaccurate (near-duplicate inputs or extreme gamma)",
                 ConditioningWarning,
             )
-        if not np.isfinite(z[g]).all() or residual[g] > KKT_RESIDUAL_TOL:
+        if not solved[g]:
             raise NumericalError(
                 f"KKT solve failed at {_describe(gamma, kernel)}: relative residual "
-                f"{residual[g]:.3g} (condition {cond[g]:.3g})"
+                f"{residual[g]:.3g} (condition {cond:.3g})"
             )
-        if not np.isfinite(errs[g]).all():  # c_i / (A^-1)_ii with a zero or non-finite diagonal
+        if not loo_ok[g]:  # c_i / (A^-1)_ii with a zero or non-finite diagonal
             raise NumericalError(
                 f"leave-one-out failed at {_describe(gamma, kernel)}: the diagonal of the "
-                f"inverse KKT matrix is zero or not finite (condition {cond[g]:.3g})"
+                f"inverse KKT matrix is zero or not finite (condition {cond:.3g})"
             )
     return errs
+
+
+def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
+    """Per grid point: squared LOO errors, relative KKT residual and an upper
+    bound on the condition number.
+
+    Each distinct kernel is factored once, K = U diag(mu) U^T, in one
+    stacked eigh call. For a gamma, H = K + I/gamma = U diag(d) U^T with
+    d = mu + 1/gamma, and the bias border is eliminated by its Schur
+    complement -1^T H^-1 1:
+
+        eta = H^-1 1,  s = 1^T eta,  b = 1^T H^-1 y / s,  c = H^-1 (y - b 1),
+        diag(A^-1)[1:] = diag(H^-1) - eta^2 / s.
+
+    A^-1 = [[-1/s, eta^T/s], [eta/s, 0]] + diag(0, H^-1 - eta eta^T / s), so
+    the Frobenius norms of its parts bound the 2-norm condition number:
+
+        cond(A) <= ||A||_F (sqrt(1 + 2 ||eta||^2) / s + ||H^-1||_F + ||eta||^2 / s).
+
+    Where the smallest d is within 1e3 m eps ||K|| of zero the computed d
+    are too inexact to bound anything, and the bound is infinite.
+    """
+    m = ts.m
+    X, y = ts.inputs, ts.targets
+    sq = _squared_distances(X, X)
+    slots: dict[KernelSpec, int] = {}
+    which = np.array([slots.setdefault(kernel, len(slots)) for _, kernel in grid])
+    K = np.stack([_rbf(sq, k.sigma) if k.kind == "rbf" else gram_matrix(k, X, X)
+                  for k in slots])
+    try:
+        mu, U = np.linalg.eigh(K)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"kernel eigendecomposition failed: {exc}") from exc
+    inv_gamma = 1.0 / np.array([gamma for gamma, _ in grid])
+    Kg, Ug = K[which], U[which]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = mu[which] + inv_gamma[:, None]
+        inv_d = 1.0 / d
+        # eta = H^-1 1 and H^-1 y, through U^T [1, y] once per kernel
+        ones_y = np.swapaxes(U, 1, 2) @ np.column_stack((np.ones(m), y))
+        eta, hy = np.moveaxis(Ug @ (inv_d[:, :, None] * ones_y[which]), 2, 0)
+        s = eta.sum(axis=1)
+        b = hy.sum(axis=1) / s
+        c = hy - b[:, None] * eta
+        inv_diag = ((Ug * Ug) @ inv_d[:, :, None])[:, :, 0] - eta ** 2 / s[:, None]
+        errs = (c / inv_diag) ** 2
+        Hc = (Kg @ c[:, :, None])[:, :, 0] + c * inv_gamma[:, None]
+        residual = np.maximum(np.abs(c.sum(axis=1)), np.abs(b[:, None] + Hc - y).max(axis=1))
+        residual /= max(1.0, np.abs(y).max())
+        eta2 = (eta ** 2).sum(axis=1)
+        K_sq, K_tr = (K * K).sum(axis=(1, 2))[which], np.trace(K, axis1=1, axis2=2)[which]
+        norm_A = np.sqrt(2 * m + K_sq + (2.0 * K_tr + m * inv_gamma) * inv_gamma)
+        bound = norm_A * (np.sqrt(1.0 + 2.0 * eta2) / s + np.sqrt((inv_d ** 2).sum(axis=1))
+                          + eta2 / s)
+    noise = 1e3 * m * np.finfo(float).eps * np.abs(mu).max(axis=1)[which]
+    bound[~(d.min(axis=1) > noise)] = np.inf
+    return errs, residual, bound
 
 
 def _describe(gamma: float, kernel: KernelSpec) -> str:

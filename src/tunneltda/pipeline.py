@@ -162,7 +162,7 @@ class ExperimentReport:
     test_events: tuple[int, ...]
     predictions: dict[int, float]
     truth: dict[int, float]
-    rel_errors: dict[int, float]   # |prediction - truth| / |truth|
+    rel_errors: dict[int, float]   # |prediction - truth| / |truth|, for truth != 0
     gamma: float
     sigma: float
     trend_guard_applied: bool
@@ -209,12 +209,9 @@ def run_feature_experiment(
     preds, guarded = _apply_trend_guard(train_values, raw)
 
     predictions = {int(e): float(p) for e, p in zip(test_events, preds)}
-    rel = {}
-    for e in test_events:
-        e = int(e)
-        if e in truth:
-            denom = abs(truth[e])
-            rel[e] = abs(predictions[e] - truth[e]) / denom if denom else float("inf")
+    # no relative error for an event without a truth, or with a truth of 0
+    rel = {e: abs(p - truth[e]) / abs(truth[e])
+           for e, p in predictions.items() if truth.get(e)}
     return ExperimentReport(
         feature_index=feature_index,
         train_events=tuple(int(e) for e in train_events),

@@ -8,6 +8,7 @@ under a fixed seed is part of the contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,12 @@ class ScenarioConfig:
             raise InputError(f"need at least 4 blocks, got {self.n_blocks}")
         if self.n_events < 0:
             raise InputError(f"n_events must be non-negative, got {self.n_events}")
-        if not self.ring_radius > 0:
-            raise InputError(f"ring_radius must be positive, got {self.ring_radius}")
-        if self.collapse_rate < 0 or self.jitter < 0:
-            raise InputError("collapse_rate and jitter must be non-negative")
+        if not 0 < self.ring_radius < math.inf:
+            raise InputError(f"ring_radius must be positive and finite, got {self.ring_radius}")
+        for name in ("collapse_rate", "jitter"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise InputError(f"{name} must be non-negative and finite, got {value}")
 
 
 def generate_sequence(cfg: ScenarioConfig) -> SnapshotSequence:

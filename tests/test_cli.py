@@ -340,3 +340,39 @@ def test_help_still_exits_zero(capsys):
         run(["compute-ph", "--help"])
     assert exc.value.code == 0
     assert "--manifest" in capsys.readouterr().out
+
+
+def test_zero_truth_gives_no_relative_error(tmp_path, capsys):
+    # f14 (holes) drops to 0 from event 16 on, so the held-out truth is 0
+    # there and |prediction - truth| / |truth| has no value
+    feats = tmp_path / "features.csv"
+    rows = ["event," + ",".join(f"f{i}" for i in range(1, 15))]
+    for event in range(21):
+        values = ["1.0"] * 14
+        values[13] = str(max(0, 5 - event // 4)) if event < 16 else "0"
+        rows.append(f"{event}," + ",".join(values))
+    feats.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    assert run(["train-predict", "--features", feats, "--feature", 14, "--out", out]) == 0
+    stdout = capsys.readouterr().out
+    assert "event 16: predicted" in stdout
+    assert stdout.count("error undefined (truth 0)") == 5
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["rel_errors"] == {}
+    assert doc["truth"] == {str(e): 0.0 for e in range(16, 21)}
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--collapse-rate", "nan", "collapse_rate"),
+    ("--jitter", "inf", "jitter"),
+    ("--ring-radius", "inf", "ring_radius"),
+])
+def test_synth_rejects_non_finite_parameter(tmp_path, capsys, flag, value, name):
+    assert run(["synth", flag, value, "--out-dir", tmp_path / "data"]) == 1
+    err = capsys.readouterr().err
+    assert name in err and value in err
+    assert not (tmp_path / "data").exists()

@@ -1,13 +1,18 @@
 """Closed-form LS-SVM leave-one-out against the retrain-loop reference.
 
 `tunneltda.lssvm` computes every grid point's leave-one-out errors from one
-stacked eigendecomposition of the full-set KKT matrices; `reference_loo`
-retrains once per left-out sample. They must agree within 1e-8 relative on
-the published fixture series, on the default synthetic scenario's feature
-columns and on hypothesis-drawn series, and the grid search must pick the
-same (gamma, sigma). The error contract of the solve (conditioning warning,
-NumericalError instead of NaN, gamma > 0) must hold on the grid path too.
+eigendecomposition per distinct kernel, shared by every gamma through the
+Schur complement of the bias border; `reference_loo` retrains once per
+left-out sample. They must agree within 1e-8 relative on the published
+fixture series, on synthetic scenarios' feature columns, on hypothesis-drawn
+series and on grids that repeat and mix kernels, and the grid search must
+pick the same (gamma, sigma). The error contract of the solve (conditioning
+warning, NumericalError instead of NaN, gamma > 0) must hold on the grid path
+too, and the condition bound that decides which grid points get an exact
+condition number must never fall below that exact number.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tunneltda import dataio, features, lssvm, pipeline
 from tunneltda.errors import ConditioningWarning, InputError, NumericalError
-from tunneltda.lssvm import KernelSpec, TrainingSet, loo_squared_errors, select_hyperparameters
+from tunneltda.lssvm import (KernelSpec, TrainingSet, _kkt_system, _loo_factored,
+                             loo_squared_errors, select_hyperparameters)
 from tunneltda.synth import ScenarioConfig, generate_sequence
 from tunneltda.topology import DEFAULT_MAX_FILTRATION
 
@@ -70,11 +76,15 @@ def test_closed_form_matches_reference_on_fixture_series(feature):
     assert_same_selection(ts)
 
 
-@pytest.fixture(scope="module")
-def seed7_matrix():
-    seq = generate_sequence(ScenarioConfig(seed=7))
+def scenario_matrix(seed: int) -> np.ndarray:
+    seq = generate_sequence(ScenarioConfig(seed=seed))
     barcodes = pipeline.compute_barcodes(seq, DEFAULT_MAX_FILTRATION)
     return features.feature_matrix(features.feature_series(barcodes, DEFAULT_MAX_FILTRATION))
+
+
+@pytest.fixture(scope="module")
+def seed7_matrix():
+    return scenario_matrix(7)
 
 
 @pytest.mark.parametrize("feature", pipeline.EXPERIMENT_FEATURES)
@@ -97,6 +107,60 @@ def test_seed7_scenario_has_a_searched_column(seed7_matrix):
     searched = [k for k in pipeline.EXPERIMENT_FEATURES
                 if np.ptp(seed7_matrix[:pipeline.DEFAULT_SPLIT + 1, k - 1]) > 0]
     assert searched  # otherwise the test above compares only zeros
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_selection_matches_reference_on_scenario_seeds(seed):
+    matrix = scenario_matrix(seed)
+    searched = 0
+    for feature in pipeline.EXPERIMENT_FEATURES:
+        ts = training_set(matrix[:, feature - 1])
+        if np.ptp(ts.targets) > 0:
+            assert_same_selection(ts)
+            searched += 1
+    assert searched
+
+
+def test_grid_with_repeated_and_mixed_kernels_matches_reference():
+    _, t6 = dataio.fixtures()
+    ts = training_set(t6.features[8].y)
+    grid = [(10.0, KernelSpec("rbf", 1.0)), (1.0, KernelSpec("linear")),
+            (100.0, KernelSpec("rbf", 0.5)), (1000.0, KernelSpec("rbf", 1.0)),
+            (10.0, KernelSpec("linear")), (1.0, KernelSpec("rbf", 0.5)),
+            (10.0, KernelSpec("rbf", 1.0))]
+    assert_matches_reference(ts, grid)
+
+
+def exact_condition(ts, gamma, kernel) -> float:
+    """2-norm condition number of the bordered KKT matrix, from its eigenvalues."""
+    lam = np.abs(np.linalg.eigvalsh(_kkt_system(ts, gamma, kernel)[0]))
+    with np.errstate(divide="ignore"):
+        return lam.max() / lam.min()
+
+
+def test_threshold_between_exact_condition_and_bound_gives_no_warning(monkeypatch):
+    _, t6 = dataio.fixtures()
+    ts = training_set(t6.features[8].y)
+    exact = np.array([exact_condition(ts, g, k) for g, k in PIPELINE_GRID])
+    _, _, bound = _loo_factored(ts, PIPELINE_GRID)
+    worst = int(np.argmax(exact))
+    assert np.all(np.delete(exact, worst) < exact[worst] * (1.0 - 1e-6))
+    assert exact[worst] < bound[worst] * (1.0 - 1e-6)
+    expected = select_hyperparameters(ts)
+
+    monkeypatch.setattr(lssvm, "CONDITION_WARN_THRESHOLD", np.sqrt(exact[worst] * bound[worst]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConditioningWarning)
+        assert select_hyperparameters(ts) == expected
+
+    monkeypatch.setattr(lssvm, "CONDITION_WARN_THRESHOLD", exact[worst] * (1.0 - 1e-6))
+    with pytest.warns(ConditioningWarning) as record:
+        assert select_hyperparameters(ts) == expected
+    assert len(record) == 1
+    message = str(record[0].message)
+    gamma, kernel = PIPELINE_GRID[worst]
+    assert f"condition number {exact[worst]:.3g} exceeds" in message
+    assert f"gamma={gamma:g}, rbf kernel sigma={kernel.sigma:g}" in message
 
 
 series = st.integers(3, 14).flatmap(lambda m: st.tuples(
@@ -152,6 +216,23 @@ def test_selection_on_near_tied_grid_means(spec, sigma, nudge):
         assert chosen == best
     else:
         assert ref_means[chosen] <= ref_means[best] * (1.0 + 1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series, st.sampled_from([0.0, 1e-4, 1e-8, 1e-12]),
+       st.lists(st.sampled_from([0.5, 10.0, 1e3, 1e6, 1e9, 1e12, 1e15]), min_size=1, max_size=4),
+       st.lists(st.sampled_from([0.25, 1.0, 4.0]), min_size=1, max_size=2))
+def test_condition_bound_is_never_below_exact_condition(spec, gap, gammas, sigmas):
+    ts = drawn_set(spec)
+    if gap:  # move the second input next to the first
+        inputs = ts.inputs.copy()
+        inputs[1] = inputs[0] + gap
+        ts = TrainingSet(inputs, ts.targets)
+    kernels = [KernelSpec("rbf", s) for s in sigmas] + [KernelSpec("linear")]
+    grid = [(g, k) for g in gammas for k in kernels]
+    _, _, bound = _loo_factored(ts, grid)
+    for (gamma, kernel), b in zip(grid, bound):
+        assert not np.isfinite(b) or b >= exact_condition(ts, gamma, kernel), (gamma, kernel)
 
 
 def test_exact_tie_keeps_earlier_grid_entry(monkeypatch):
