@@ -92,7 +92,10 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
 
 
 def _cmd_train_predict(args) -> int:
-    report, _ = pipeline.run_feature_experiment(*_feature_source(args), args.feature, args.split)
+    events, values, truth = _feature_source(args)
+    reports, _ = pipeline.run_feature_experiment(
+        events, {args.feature: values}, {args.feature: truth}, args.split)
+    report = reports[args.feature]
     _print_experiment(report)
     if args.out:
         dataio.write_json(args.out, report.to_dict())

@@ -6,7 +6,15 @@ class InputError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """A numerical procedure failed (singular system, non-finite result)."""
+    """A numerical procedure failed (singular system, non-finite result).
+
+    column is the target column it failed in, where one search serves
+    several columns, and None otherwise.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 class ConditioningWarning(UserWarning):

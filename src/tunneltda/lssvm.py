@@ -44,12 +44,17 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class TrainingSet:
+    """Inputs and targets: one series (m,), or k series (m, k) that share the
+    inputs, which only the leave-one-out search takes."""
+
     inputs: np.ndarray   # (m, d)
-    targets: np.ndarray  # (m,)
+    targets: np.ndarray  # (m,) or (m, k)
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        targets = np.asarray(self.targets, dtype=float).ravel()
+        targets = np.asarray(self.targets, dtype=float)
+        if targets.ndim != 2:
+            targets = targets.ravel()
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
         if inputs.ndim != 2 or inputs.shape[0] != targets.shape[0]:
@@ -102,13 +107,15 @@ def _kkt_system(ts: TrainingSet, gamma: float, kernel: KernelSpec):
     A[0, 1:] = 1.0
     A[1:, 0] = 1.0
     A[1:, 1:] = K + np.eye(m) / gamma
-    rhs = np.concatenate(([0.0], ts.targets))
+    rhs = np.insert(ts.targets, 0, 0.0, axis=0)
     return A, rhs
 
 
 def _solve(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> tuple[float, np.ndarray]:
     if not gamma > 0:
         raise InputError(f"gamma must be positive, got {gamma}")
+    if ts.targets.ndim != 1:
+        raise InputError(f"training takes one target series, got shape {ts.targets.shape}")
     A, rhs = _kkt_system(ts, gamma, kernel)
     cond = np.linalg.cond(A)
     if cond > CONDITION_WARN_THRESHOLD:
@@ -170,30 +177,34 @@ def kkt_residual(model: LssvmModel, ts: TrainingSet) -> float:
 
 
 def loo_squared_errors(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> np.ndarray:
-    """Leave-one-out squared prediction errors, one per training sample."""
+    """Leave-one-out squared prediction errors, one per training sample and
+    target column (the shape of ts.targets)."""
     return _loo_grid(ts, [(gamma, kernel)])[0]
 
 
 def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarray:
-    """Exact leave-one-out squared errors for every (gamma, kernel) grid point.
+    """Exact leave-one-out squared errors for every (gamma, kernel) grid point
+    and every target column.
 
     Leaving sample i out of an LS-SVM changes its prediction at x_i by
     exactly c_i / (A^-1)_ii, where A is the bordered KKT matrix of the full
     set and z = [b; c] its solution (Cawley & Talbot, Fast exact
     leave-one-out cross-validation of sparse least-squares support vector
-    machines, Neural Networks 2004). So no model is retrained, and
-    _loo_factored gets every grid point's errors from one eigendecomposition
-    per distinct kernel, along with an upper bound on the point's condition
-    number.
+    machines, Neural Networks 2004). So no model is retrained. A depends on
+    the inputs alone, so _loo_factored gets the errors of all k columns at
+    every grid point from one eigendecomposition per distinct kernel, along
+    with one upper bound per point on its condition number.
 
     Each grid point gets the checks of _solve: gamma > 0, the conditioning
-    warning and a finite solution with a small KKT residual; a zero or
-    non-finite diagonal of A^-1 is a NumericalError too. A point whose bound
-    is not within the conditioning threshold, or that fails a check, gets
-    its exact 2-norm condition number from the eigenvalues of its own
-    bordered matrix, and then, in grid order, warns if that number exceeds
-    the threshold and raises if a check failed. Returns a (len(grid), m)
-    array.
+    warning and, per column, a finite solution with a small KKT residual; a
+    zero or non-finite diagonal of A^-1 is a NumericalError too. A point
+    whose bound is not within the conditioning threshold, or that fails a
+    check in some column, gets its exact 2-norm condition number from the
+    eigenvalues of its own bordered matrix. Then, in grid order, the point
+    warns once if that number exceeds the threshold, whatever k is, and
+    raises for the first column that failed a check; the NumericalError
+    names that column, also in its `column` attribute. Returns an array of
+    shape (len(grid),) + ts.targets.shape.
     """
     for gamma, _ in grid:
         if not gamma > 0:
@@ -202,8 +213,8 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
         raise InputError("hyperparameter grid is empty")
     errs, residual, bound = _loo_factored(ts, grid)
     solved = residual <= KKT_RESIDUAL_TOL  # false for a non-finite solution too
-    loo_ok = np.isfinite(errs).all(axis=1)
-    for g in np.flatnonzero(~(bound <= CONDITION_WARN_THRESHOLD) | ~solved | ~loo_ok):
+    ok = solved & np.isfinite(errs).all(axis=1)
+    for g in np.flatnonzero(~(bound <= CONDITION_WARN_THRESHOLD) | ~ok.all(axis=1)):
         gamma, kernel = grid[g]
         try:
             lam = np.abs(np.linalg.eigvalsh(_kkt_system(ts, gamma, kernel)[0]))
@@ -218,22 +229,25 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
                 "errors may be inaccurate (near-duplicate inputs or extreme gamma)",
                 ConditioningWarning,
             )
-        if not solved[g]:
+        failed = np.flatnonzero(~ok[g])
+        if failed.size:
+            j = int(failed[0])
+            where = f"{_describe(gamma, kernel)}, target column {j}"
+            if not solved[g, j]:
+                raise NumericalError(
+                    f"KKT solve failed at {where}: relative residual "
+                    f"{residual[g, j]:.3g} (condition {cond:.3g})", column=j)
+            # c_i / (A^-1)_ii with a zero or non-finite diagonal
             raise NumericalError(
-                f"KKT solve failed at {_describe(gamma, kernel)}: relative residual "
-                f"{residual[g]:.3g} (condition {cond:.3g})"
-            )
-        if not loo_ok[g]:  # c_i / (A^-1)_ii with a zero or non-finite diagonal
-            raise NumericalError(
-                f"leave-one-out failed at {_describe(gamma, kernel)}: the diagonal of the "
-                f"inverse KKT matrix is zero or not finite (condition {cond:.3g})"
-            )
-    return errs
+                f"leave-one-out failed at {where}: the diagonal of the inverse KKT "
+                f"matrix is zero or not finite (condition {cond:.3g})", column=j)
+    return errs.reshape((len(grid),) + ts.targets.shape)
 
 
 def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
-    """Per grid point: squared LOO errors, relative KKT residual and an upper
-    bound on the condition number.
+    """Per grid point, with the targets taken as k columns Y (m, k): squared
+    LOO errors (len(grid), m, k), relative KKT residuals (len(grid), k) and
+    an upper bound on the condition number (len(grid),).
 
     Each distinct kernel is factored once, K = U diag(mu) U^T, in one
     stacked eigh call. For a gamma, H = K + I/gamma = U diag(d) U^T with
@@ -242,6 +256,10 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
 
         eta = H^-1 1,  s = 1^T eta,  b = 1^T H^-1 y / s,  c = H^-1 (y - b 1),
         diag(A^-1)[1:] = diag(H^-1) - eta^2 / s.
+
+    Only U^T y, b, c, the errors and the residual depend on a column y; the
+    kernels, their factors, d, eta, s, diag(A^-1) and the bound are computed
+    once for all k columns.
 
     A^-1 = [[-1/s, eta^T/s], [eta/s, 0]] + diag(0, H^-1 - eta eta^T / s), so
     the Frobenius norms of its parts bound the 2-norm condition number:
@@ -252,7 +270,7 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
     are too inexact to bound anything, and the bound is infinite.
     """
     m = ts.m
-    X, y = ts.inputs, ts.targets
+    X, Y = ts.inputs, ts.targets.reshape(m, -1)
     sq = _squared_distances(X, X)
     slots: dict[KernelSpec, int] = {}
     which = np.array([slots.setdefault(kernel, len(slots)) for _, kernel in grid])
@@ -267,17 +285,18 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = mu[which] + inv_gamma[:, None]
         inv_d = 1.0 / d
-        # eta = H^-1 1 and H^-1 y, through U^T [1, y] once per kernel
-        ones_y = np.swapaxes(U, 1, 2) @ np.column_stack((np.ones(m), y))
-        eta, hy = np.moveaxis(Ug @ (inv_d[:, :, None] * ones_y[which]), 2, 0)
+        # eta = H^-1 1 and H^-1 Y, through U^T [1, Y] once per kernel
+        ones_y = np.swapaxes(U, 1, 2) @ np.column_stack((np.ones(m), Y))
+        hz = Ug @ (inv_d[:, :, None] * ones_y[which])
+        eta, hy = hz[:, :, 0], hz[:, :, 1:]
         s = eta.sum(axis=1)
-        b = hy.sum(axis=1) / s
-        c = hy - b[:, None] * eta
+        b = hy.sum(axis=1) / s[:, None]
+        c = hy - b[:, None, :] * eta[:, :, None]
         inv_diag = ((Ug * Ug) @ inv_d[:, :, None])[:, :, 0] - eta ** 2 / s[:, None]
-        errs = (c / inv_diag) ** 2
-        Hc = (Kg @ c[:, :, None])[:, :, 0] + c * inv_gamma[:, None]
-        residual = np.maximum(np.abs(c.sum(axis=1)), np.abs(b[:, None] + Hc - y).max(axis=1))
-        residual /= max(1.0, np.abs(y).max())
+        errs = (c / inv_diag[:, :, None]) ** 2
+        Hc = Kg @ c + c * inv_gamma[:, None, None]
+        residual = np.maximum(np.abs(c.sum(axis=1)), np.abs(b[:, None, :] + Hc - Y).max(axis=1))
+        residual /= np.maximum(1.0, np.abs(Y).max(axis=0))
         eta2 = (eta ** 2).sum(axis=1)
         K_sq, K_tr = (K * K).sum(axis=(1, 2))[which], np.trace(K, axis1=1, axis2=2)[which]
         norm_A = np.sqrt(2 * m + K_sq + (2.0 * K_tr + m * inv_gamma) * inv_gamma)
@@ -297,14 +316,18 @@ def select_hyperparameters(
     ts: TrainingSet,
     gamma_grid: tuple[float, ...] = GAMMA_GRID,
     sigma_grid: tuple[float, ...] = SIGMA_GRID,
-) -> tuple[float, KernelSpec, float]:
-    """Grid search for the regressor: smallest mean LOO error wins.
+) -> tuple[float, KernelSpec, float] | list[tuple[float, KernelSpec, float]]:
+    """Grid search for the regressor: smallest mean LOO error wins, per
+    target column.
 
     Ties keep the earlier grid entry (gamma-major, then sigma), so the
-    search is deterministic. Returns (gamma, kernel, loo_mse).
+    search is deterministic. All columns share one leave-one-out search
+    (_loo_grid), so k series that train on the same inputs cost one kernel
+    factorisation, not k. Returns (gamma, kernel, loo_mse) for one series,
+    and a list of one such tuple per column for (m, k) targets.
     """
     grid = [(gamma, KernelSpec("rbf", sigma)) for gamma in gamma_grid for sigma in sigma_grid]
-    mses = _loo_grid(ts, grid).mean(axis=1)
-    best = int(np.argmin(mses))  # the first of equal minima
-    gamma, kernel = grid[best]
-    return gamma, kernel, float(mses[best])
+    mses = _loo_grid(ts, grid).mean(axis=1).reshape(len(grid), -1)
+    # argmin takes the first of equal minima
+    picks = [(*grid[g], float(mses[g, j])) for j, g in enumerate(np.argmin(mses, axis=0))]
+    return picks if ts.targets.ndim == 2 else picks[0]

@@ -30,13 +30,18 @@ DEFAULT_SPLIT = 15
 EXPERIMENT_FEATURES = (2, 8, 13, 14)
 
 
+def _prefix(exc: Exception, text: str) -> None:
+    exc.args = (f"{text}{exc.args[0] if exc.args else exc}",) + exc.args[1:]
+
+
 @contextmanager
-def _stage(name: str):
-    """Re-raise pipeline errors with the failing stage attached."""
+def _prefixed(text: str):
+    """Re-raise pipeline errors with text, such as the failing stage, in
+    front of the message."""
     try:
         yield
     except (InputError, NumericalError) as exc:
-        exc.args = (f"[{name}] {exc.args[0] if exc.args else exc}",) + exc.args[1:]
+        _prefix(exc, text)
         raise
 
 
@@ -48,7 +53,7 @@ def compute_barcodes(seq: SnapshotSequence,
     """One barcode per snapshot, in event order."""
     barcodes = []
     for event, cloud in zip(seq.events, seq.clouds):
-        with _stage(f"persistence event {event}"):
+        with _prefixed(f"[persistence event {event}] "):
             barcodes.append(barcode_from_cloud(cloud, max_filtration))
     return barcodes
 
@@ -106,32 +111,6 @@ class FeaturePredictor:
     x_mean: float
     x_std: float
 
-    @classmethod
-    def fit(cls, events: np.ndarray, values: np.ndarray) -> "FeaturePredictor":
-        """LOO grid search over (gamma, sigma) on standardized event indices.
-
-        A constant target column short-circuits to the exact flat model
-        (zero coefficients, bias equal to the constant): the KKT system is
-        satisfied exactly and predictions carry no solver noise.
-        """
-        events = np.asarray(events, dtype=float)
-        values = np.asarray(values, dtype=float)
-        x_mean = float(events.mean())
-        x_std = float(events.std())
-        if x_std == 0.0:
-            raise InputError("training events are all identical")
-        xs = ((events - x_mean) / x_std)[:, None]
-        if np.ptp(values) == 0.0:
-            model = lssvm.LssvmModel(
-                alphas=np.zeros(len(values)), bias=float(values[0]),
-                gamma=lssvm.GAMMA_GRID[0], kernel=lssvm.KernelSpec("rbf", lssvm.SIGMA_GRID[0]),
-                inputs=xs,
-            )
-            return cls(model, x_mean, x_std)
-        ts = lssvm.TrainingSet(xs, values)
-        gamma, kernel, _ = lssvm.select_hyperparameters(ts)
-        return cls(lssvm.train_regressor(ts, gamma, kernel), x_mean, x_std)
-
     def predict(self, events: np.ndarray) -> np.ndarray:
         xs = ((np.asarray(events, dtype=float) - self.x_mean) / self.x_std)[:, None]
         return lssvm.predict_batch(self.model, xs)
@@ -168,7 +147,8 @@ class ExperimentReport:
     trend_guard_applied: bool
 
     def max_rel_error(self) -> float:
-        return max(self.rel_errors.values()) if self.rel_errors else 0.0
+        """The largest relative error; NaN when no held-out event was scored."""
+        return max(self.rel_errors.values()) if self.rel_errors else math.nan
 
     def to_dict(self) -> dict:
         return {
@@ -185,44 +165,88 @@ class ExperimentReport:
 
 
 def run_feature_experiment(
-    events: list[int], values: np.ndarray, truth: dict[int, float] | None,
-    feature_index: int, split: int = DEFAULT_SPLIT,
-) -> tuple[ExperimentReport, FeaturePredictor]:
-    """Train on events <= split, predict the rest, score against truth:
-    by event, or None for the held-out events' own values."""
+    events: list[int], series: dict[int, np.ndarray],
+    truth: dict[int, dict[int, float] | None], split: int = DEFAULT_SPLIT,
+) -> tuple[dict[int, ExperimentReport], dict[int, FeaturePredictor]]:
+    """Train one regressor per feature on events <= split, predict the rest
+    and score them against truth[k]: by event, or None for the held-out
+    events' own values. Returns the reports and predictors by feature.
+
+    series maps each feature to its values over events. Every regressor
+    takes the same standardized event indices as input, so the features
+    share one split, one standardization and one leave-one-out search: one
+    lssvm.select_hyperparameters call with a target column per searched
+    feature, which factors each kernel once for the whole run. A constant
+    training column skips the search and takes the exact flat model (zero
+    coefficients, bias equal to the constant): the KKT system is satisfied
+    exactly and predictions carry no solver noise. Each other feature's
+    chosen (gamma, kernel) is then trained on its own. Errors name the
+    feature they come from.
+    """
     events = list(events)
-    values = np.asarray(values, dtype=float)
     train_idx = [i for i, e in enumerate(events) if e <= split]
     test_idx = [i for i, e in enumerate(events) if e > split]
     if len(train_idx) < 2:
         raise InputError(f"split {split} leaves fewer than 2 training events")
     if not test_idx:
         raise InputError(f"split {split} leaves no test events")
-    train_events = np.array([events[i] for i in train_idx])
+    train_events = np.array([events[i] for i in train_idx], dtype=float)
     test_events = np.array([events[i] for i in test_idx])
-    train_values = values[train_idx]
-    if truth is None:
-        truth = {events[i]: float(values[i]) for i in test_idx}
+    x_mean = float(train_events.mean())
+    x_std = float(train_events.std())
+    if x_std == 0.0:
+        raise InputError("training events are all identical")
+    xs = ((train_events - x_mean) / x_std)[:, None]
 
-    predictor = FeaturePredictor.fit(train_events, train_values)
-    raw = predictor.predict(test_events)
-    preds, guarded = _apply_trend_guard(train_values, raw)
+    values, sets = {}, {}
+    for k, column in series.items():
+        with _prefixed(f"feature {k}: "):
+            values[k] = np.asarray(column, dtype=float)
+            sets[k] = lssvm.TrainingSet(xs, values[k][train_idx])
+    searched = [k for k, ts in sets.items() if np.ptp(ts.targets) > 0.0]
+    picks = {}
+    if searched:
+        try:
+            picks = dict(zip(searched, lssvm.select_hyperparameters(lssvm.TrainingSet(
+                xs, np.column_stack([sets[k].targets for k in searched])))))
+        except NumericalError as exc:
+            if exc.column is not None:
+                _prefix(exc, f"feature {searched[exc.column]}: ")
+            raise
 
-    predictions = {int(e): float(p) for e, p in zip(test_events, preds)}
-    # no relative error for an event without a truth, or with a truth of 0
-    rel = {e: abs(p - truth[e]) / abs(truth[e])
-           for e, p in predictions.items() if truth.get(e)}
-    return ExperimentReport(
-        feature_index=feature_index,
-        train_events=tuple(int(e) for e in train_events),
-        test_events=tuple(int(e) for e in test_events),
-        predictions=predictions,
-        truth={int(e): float(v) for e, v in truth.items()},
-        rel_errors=rel,
-        gamma=predictor.model.gamma,
-        sigma=float(predictor.model.kernel.sigma),
-        trend_guard_applied=guarded,
-    ), predictor
+    reports, predictors = {}, {}
+    for k, ts in sets.items():
+        with _prefixed(f"feature {k}: "):
+            if k in picks:
+                gamma, kernel, _ = picks[k]
+                model = lssvm.train_regressor(ts, gamma, kernel)
+            else:
+                model = lssvm.LssvmModel(
+                    alphas=np.zeros(ts.m), bias=float(ts.targets[0]),
+                    gamma=lssvm.GAMMA_GRID[0],
+                    kernel=lssvm.KernelSpec("rbf", lssvm.SIGMA_GRID[0]), inputs=xs,
+                )
+        predictors[k] = FeaturePredictor(model, x_mean, x_std)
+        preds, guarded = _apply_trend_guard(ts.targets, predictors[k].predict(test_events))
+        predictions = {int(e): float(p) for e, p in zip(test_events, preds)}
+        scored = truth[k]
+        if scored is None:
+            scored = {events[i]: float(values[k][i]) for i in test_idx}
+        # no relative error for an event without a truth, or with a truth of 0
+        rel = {e: abs(p - scored[e]) / abs(scored[e])
+               for e, p in predictions.items() if scored.get(e)}
+        reports[k] = ExperimentReport(
+            feature_index=k,
+            train_events=tuple(int(e) for e in train_events),
+            test_events=tuple(int(e) for e in test_events),
+            predictions=predictions,
+            truth={int(e): float(v) for e, v in scored.items()},
+            rel_errors=rel,
+            gamma=model.gamma,
+            sigma=float(model.kernel.sigma),
+            trend_guard_applied=guarded,
+        )
+    return reports, predictors
 
 
 def paper_source() -> tuple[list[int], dict[int, np.ndarray], dict[int, dict[int, float]]]:
@@ -237,8 +261,8 @@ def run_table6_experiment(feature_indices: tuple[int, ...] = EXPERIMENT_FEATURES
     """Fixture-driven experiment: train on the published series, score against
     the published held-out values."""
     events, series, truth = paper_source()
-    return {k: run_feature_experiment(events, series[k], truth[k], k, split)[0]
-            for k in feature_indices}
+    return run_feature_experiment(events, {k: series[k] for k in feature_indices},
+                                  truth, split)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +355,7 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
         events, series, truth = paper_source()
         model_dir = None
     else:
-        with _stage("compute-ph"):
+        with _prefixed("[compute-ph] "):
             vectors, _ = write_barcode_stage(seq, max_filtration, out_dir / "barcodes",
                                              out_dir / "summary.csv")
         events = list(seq.events)
@@ -345,21 +369,20 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
         truth = dict.fromkeys(EXPERIMENT_FEATURES)  # None: the held-out events' own values
         model_dir = out_dir / "models"
 
-    reports = {}
-    with _stage("train-predict"):
-        for k in EXPERIMENT_FEATURES:
-            reports[k], predictor = run_feature_experiment(
-                events, series[k], truth[k], k, split)
-            if model_dir is not None:
-                model_dir.mkdir(exist_ok=True)
-                dataio.write_model(predictor.model, predictor.x_mean,
-                                   predictor.x_std, model_dir / f"model_f{k}.json")
+    with _prefixed("[train-predict] "):
+        reports, predictors = run_feature_experiment(
+            events, {k: series[k] for k in EXPERIMENT_FEATURES}, truth, split)
+    if model_dir is not None:
+        model_dir.mkdir(exist_ok=True)
+        for k, predictor in predictors.items():
+            dataio.write_model(predictor.model, predictor.x_mean,
+                               predictor.x_std, model_dir / f"model_f{k}.json")
 
     dataio.write_json(out_dir / "experiment.json",
                       {str(k): reports[k].to_dict() for k in sorted(reports)})
     written["experiment"] = str(out_dir / "experiment.json")
 
-    with _stage("warn"):
+    with _prefixed("[warn] "):
         warning = detect_warning(series[8], threshold, rapid_change_ratio)
     dataio.write_json(out_dir / "warning.json", asdict(warning))
     written["warning"] = str(out_dir / "warning.json")

@@ -60,7 +60,12 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric pairwise Euclidean distances with zero diagonal."""
+    """Symmetric pairwise Euclidean distances with zero diagonal.
+
+    compute_distance_matrix builds it square, symmetric, non-negative and
+    with a zero diagonal; only the finite check can fail, on coordinates
+    whose squares overflow.
+    """
 
     d: np.ndarray
 
@@ -68,14 +73,8 @@ class DistanceMatrix:
         d = np.asarray(self.d, dtype=float)
         d.setflags(write=False)
         object.__setattr__(self, "d", d)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InputError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise InputError("distances must be finite")
-        if np.any(np.diag(d) != 0.0):
-            raise InputError("distance matrix diagonal must be zero")
-        if np.any(d < 0.0) or not np.array_equal(d, d.T):
-            raise InputError("distance matrix must be symmetric and non-negative")
 
     @property
     def n(self) -> int:

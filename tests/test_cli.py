@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from tunneltda import dataio, features, pipeline, topology
+from tunneltda import dataio, features, lssvm, pipeline, topology
 from tunneltda.cli import main
 
 
@@ -376,3 +376,19 @@ def test_synth_rejects_non_finite_parameter(tmp_path, capsys, flag, value, name)
     err = capsys.readouterr().err
     assert name in err and value in err
     assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("args, prefix", [
+    (["run-all", "--preset", "paper"], "[train-predict] feature 2: "),
+    (["train-predict", "--preset", "paper", "--feature", 14], "feature 14: "),
+], ids=["run-all", "train-predict"])
+def test_numerical_error_names_the_feature(tmp_path, capsys, monkeypatch, args, prefix):
+    # no solve meets a zero residual tolerance, so the search fails at its
+    # first grid point, in the first searched feature (the paper's f13 is
+    # constant and takes no search)
+    monkeypatch.setattr(lssvm, "KKT_RESIDUAL_TOL", 0.0)
+    if args[0] == "run-all":
+        args = args + ["--out-dir", tmp_path / "out"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical error: {prefix}KKT solve failed at gamma=1, ")

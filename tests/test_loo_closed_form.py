@@ -294,3 +294,80 @@ def test_empty_grid_is_input_error():
     ts = training_set(np.arange(16.0) ** 2)
     with pytest.raises(InputError, match="empty"):
         select_hyperparameters(ts, (), (1.0,))
+
+
+# ---------------------------------------------------------------------------
+# one search for several target columns
+
+columns = st.integers(4, 20).flatmap(lambda m: st.lists(
+    st.lists(st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False),
+             min_size=m, max_size=m),
+    min_size=1, max_size=4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(columns)
+def test_shared_search_matches_each_column_searched_alone(cols):
+    """Each column's errors equal its own search's within 1e-10 relative to
+    the error, or to the grid point's largest error where one sample's error
+    is ~1e-12 of the rest and c_i has cancelled: the two searches round
+    their matrix products in different shapes."""
+    Y = np.array(cols).T  # (m, k)
+    assume(np.all(np.ptp(Y, axis=0) > 1e-3))
+    xs = standardized(np.arange(len(Y)))
+    shared = TrainingSet(xs, Y)
+    errs = lssvm._loo_grid(shared, PIPELINE_GRID)
+    assert errs.shape == (len(PIPELINE_GRID),) + Y.shape
+    picks = select_hyperparameters(shared)
+    assert len(picks) == Y.shape[1]
+    for j, (gamma, kernel, mse) in enumerate(picks):
+        alone = TrainingSet(xs, Y[:, j])
+        for row, single in zip(errs[:, :, j], lssvm._loo_grid(alone, PIPELINE_GRID)):
+            np.testing.assert_allclose(row, single, rtol=1e-10, atol=1e-10 * single.max(),
+                                       err_msg=f"column {j}")
+        ref_gamma, ref_kernel, ref_mse = reference_loo.select_hyperparameters(alone)
+        assert (gamma, kernel) == (ref_gamma, ref_kernel), f"column {j}"
+        assert mse == pytest.approx(ref_mse, rel=1e-8)
+
+
+def test_constant_column_takes_flat_model_outside_the_search(monkeypatch):
+    _, t6 = dataio.fixtures()
+    series = {2: t6.features[2].y, 13: np.full(21, 42.0), 8: t6.features[8].y}
+    searched = []
+    search = lssvm.select_hyperparameters
+
+    def recording(ts, *args):
+        searched.append(ts.targets.copy())
+        return search(ts, *args)
+
+    monkeypatch.setattr(lssvm, "select_hyperparameters", recording)
+    reports, predictors = pipeline.run_feature_experiment(
+        list(range(21)), series, dict.fromkeys(series))
+    assert len(searched) == 1
+    train = slice(0, pipeline.DEFAULT_SPLIT + 1)
+    np.testing.assert_array_equal(
+        searched[0], np.column_stack([series[2][train], series[8][train]]))
+    assert np.all(predictors[13].model.alphas == 0.0)
+    assert predictors[13].model.bias == 42.0
+    assert set(reports[13].predictions.values()) == {42.0}
+    for k in (2, 8):
+        gamma, kernel, _ = select_hyperparameters(training_set(series[k]))
+        assert (predictors[k].model.gamma, predictors[k].model.kernel) == (gamma, kernel)
+
+
+def test_shared_search_warns_once_per_grid_point(monkeypatch):
+    _, t6 = dataio.fixtures()
+    cols = [training_set(t6.features[k].y).targets for k in (2, 8, 14)]
+    ts = TrainingSet(training_set(cols[0]).inputs, np.column_stack(cols))
+    exact = np.array([exact_condition(ts, g, k) for g, k in PIPELINE_GRID])
+    threshold = np.median(exact)
+    offending = [PIPELINE_GRID[g] for g in np.flatnonzero(exact > threshold)]
+    assert 0 < len(offending) < len(PIPELINE_GRID)
+    expected = select_hyperparameters(ts)
+
+    monkeypatch.setattr(lssvm, "CONDITION_WARN_THRESHOLD", threshold)
+    with pytest.warns(ConditioningWarning) as record:
+        assert select_hyperparameters(ts) == expected
+    assert len(record) == len(offending)
+    for w, (gamma, kernel) in zip(record, offending):
+        assert f"gamma={gamma:g}, rbf kernel sigma={kernel.sigma:g};" in str(w.message)

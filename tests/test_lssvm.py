@@ -155,6 +155,13 @@ def test_gamma_must_be_positive():
         train_regressor(ts, 0.0, LINEAR)
 
 
+def test_training_rejects_several_target_columns():
+    # (m, k) targets serve only the leave-one-out search
+    ts = TrainingSet(np.array([[0.0], [1.0], [2.0]]), np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]))
+    with pytest.raises(InputError, match="one target series"):
+        train_regressor(ts, 10.0, LINEAR)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(InputError):
         KernelSpec("poly")

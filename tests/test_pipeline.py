@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ def test_constant_feature_predicts_exactly():
     events = list(range(21))
     values = np.full(21, 42.0)
     truth = {e: 42.0 for e in range(16, 21)}
-    report, predictor = run_feature_experiment(events, values, truth, 13)
+    reports, predictors = run_feature_experiment(events, {13: values}, {13: truth})
+    report, predictor = reports[13], predictors[13]
     assert all(v == 42.0 for v in report.predictions.values())
     assert report.max_rel_error() == 0.0
     assert np.all(predictor.model.alphas == 0.0)
@@ -110,26 +112,25 @@ def test_constant_feature_predicts_exactly():
 def test_trend_guard_applies_only_to_monotone_series():
     events = list(range(12))
     down = np.linspace(10.0, 4.0, 12)
-    report, _ = run_feature_experiment(events, down, {}, 8, split=8)
+    report = run_feature_experiment(events, {8: down}, {8: {}}, split=8)[0][8]
     assert report.trend_guard_applied
     preds = [report.predictions[e] for e in sorted(report.predictions)]
     assert all(a >= b for a, b in zip(preds, preds[1:]))
     assert preds[0] <= down[8]
 
     wiggly = np.array([3.0, 4.0, 2.0, 5.0, 3.5, 4.2, 2.8, 4.9, 3.1, 4.4, 2.6, 4.7])
-    report, _ = run_feature_experiment(events, wiggly, {}, 14, split=8)
+    report = run_feature_experiment(events, {14: wiggly}, {14: {}}, split=8)[0][14]
     assert not report.trend_guard_applied
 
 
 def test_experiment_requires_test_events():
     with pytest.raises(InputError):
-        run_feature_experiment(list(range(5)), np.arange(5.0), {}, 1, split=10)
+        run_feature_experiment(list(range(5)), {1: np.arange(5.0)}, {1: {}}, split=10)
 
 
 def test_predictor_round_trips_through_model_file(tmp_path):
-    events = np.arange(16)
-    values = np.array(table6_f8()[:16])
-    predictor = FeaturePredictor.fit(events, values)
+    # trained on events 0..15
+    predictor = run_feature_experiment(list(range(21)), {8: table6_f8()}, {8: None})[1][8]
     path = tmp_path / "model.json"
     dataio.write_model(predictor.model, predictor.x_mean, predictor.x_std, path)
     model, mean, std = dataio.read_model(path)
@@ -207,7 +208,8 @@ def test_run_all_matches_stagewise_composition(tmp_path):
     experiment = json.loads((out / "experiment.json").read_text())
     column = matrix[:, 7]
     truth = {e: float(column[e]) for e in seq.events if e > 5}
-    direct_report, _ = run_feature_experiment(list(seq.events), column, truth, 8, split=5)
+    direct_report = run_feature_experiment(list(seq.events), {8: column}, {8: truth},
+                                           split=5)[0][8]
     assert experiment["8"]["predictions"] == {
         str(e): v for e, v in direct_report.predictions.items()}
 
@@ -245,3 +247,12 @@ def test_stage_attribution_in_errors(tmp_path):
     seq = small_scenario()
     with pytest.raises(InputError, match="\\[compute-ph"):
         run_all(seq, tmp_path / "y", max_filtration=-1.0)
+
+
+def test_no_scored_event_gives_nan_max_rel_error():
+    # f14 (holes) is 0 from event 16 on: every held-out truth is 0, so no
+    # event is scored, and that must not read as a perfect forecast
+    values = np.array([max(0, 5 - e // 4) if e < 16 else 0 for e in range(21)], dtype=float)
+    report = run_feature_experiment(list(range(21)), {14: values}, {14: None})[0][14]
+    assert report.rel_errors == {}
+    assert math.isnan(report.max_rel_error())

@@ -6,7 +6,7 @@ import pytest
 
 from tunneltda.errors import InputError
 from tunneltda.topology import (
-    Barcode, Chain, DistanceMatrix, FiltSimplex, PersistencePair,
+    Barcode, Chain, FiltSimplex, PersistencePair,
     PointCloud, barcode_from_cloud, betti_numbers, boundary, boundary_of_chain,
     build_vr_filtration, compute_distance_matrix, compute_persistence,
 )
@@ -67,11 +67,6 @@ def test_distance_overflow_is_input_error_without_warning():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="distances must be finite"):
             compute_distance_matrix(cloud)
-
-
-def test_distance_matrix_validates_symmetry():
-    with pytest.raises(InputError):
-        DistanceMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
