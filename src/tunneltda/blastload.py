@@ -8,6 +8,7 @@ followed by a linear decay to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -31,8 +32,9 @@ class BlastConfig:
     def __post_init__(self):
         for name in ("radius", "spacing", "charge_density", "detonation_velocity",
                      "uncoupling", "enlargement"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be positive and finite, got {value}")
         if self.uncoupling < 1.0:
             raise InputError(f"uncoupling coefficient must be >= 1, got {self.uncoupling}")
 
@@ -50,14 +52,22 @@ class LoadProfile:
             raise InputError(
                 f"need 0 < rise_time < total_time, got {self.rise_time}, {self.total_time}"
             )
-        if not self.peak_pressure > 0:
-            raise InputError(f"peak pressure must be positive, got {self.peak_pressure}")
+        if not 0 < self.peak_pressure < math.inf:
+            raise InputError(
+                f"peak pressure must be positive and finite, got {self.peak_pressure}")
 
 
 def peak_pressure(cfg: BlastConfig) -> float:
-    """Single-hole peak pressure in Pa."""
-    return (cfg.charge_density * cfg.detonation_velocity ** 2
-            * cfg.uncoupling ** -6 * cfg.enlargement) / 8.0
+    """Single-hole peak pressure in Pa; a peak that is not finite is an
+    InputError."""
+    try:
+        p_m = (cfg.charge_density * cfg.detonation_velocity ** 2
+               * cfg.uncoupling ** -6 * cfg.enlargement) / 8.0
+    except OverflowError:  # a float ** int raises where a product gives inf
+        p_m = math.inf
+    if not math.isfinite(p_m):
+        raise InputError(f"single-hole peak pressure {p_m} is not finite for {cfg}")
+    return p_m
 
 
 def equivalent_uniform_peak(cfg: BlastConfig, p_m: float) -> float:

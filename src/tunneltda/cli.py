@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,20 +32,12 @@ def _cmd_compute_ph(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    events, barcodes = pipeline.read_barcode_dir(Path(args.barcode_dir))
+    barcodes = pipeline.read_barcode_dir(Path(args.barcode_dir))
     caps = {b.max_filtration for b in barcodes}
-    cap = args.max_filtration
-    if cap is None:
-        if len(caps) > 1:
-            raise InputError(f"barcode files carry mixed max_filtration values {sorted(caps)}")
-        cap = caps.pop()
-    elif caps != {cap}:
-        warnings.warn(
-            f"barcodes were computed with max_filtration {sorted(caps)} but features "
-            f"are extracted with {cap}", stacklevel=1)
-    vectors = feature_series(barcodes, cap)
-    dataio.write_features(events, vectors, args.out)
-    print(f"wrote {len(events)} feature rows to {args.out}")
+    if len(caps) > 1:
+        raise InputError(f"barcode files carry mixed max_filtration values {sorted(caps)}")
+    dataio.write_features(feature_series(barcodes), args.out)
+    print(f"wrote {len(barcodes)} feature rows to {args.out}")
     return 0
 
 
@@ -59,22 +50,22 @@ def _reject_with_preset(args, *names: str) -> None:
 
 
 def _feature_source(args) -> tuple:
-    """(events, values, truth) of --feature; truth is the published held-out
-    values under --preset paper and None for a features file."""
+    """(values, truth) of --feature, values by event; truth is the published
+    held-out values under --preset paper and None for a features file."""
     _reject_with_preset(args, "features")
     if args.preset == "paper":
-        events, series, truth = pipeline.paper_source()
+        series, truth = pipeline.paper_source()
         if args.feature not in series:
             available = ", ".join(str(k) for k in sorted(series))
             raise InputError(f"--feature {args.feature} is not in the paper fixture; "
                              f"available features: {available}")
-        return events, series[args.feature], truth[args.feature]
+        return series[args.feature], truth[args.feature]
     if args.features is None:
         raise InputError(f"{args.command} needs --features FILE or --preset paper")
-    events, matrix = dataio.read_features(args.features)
+    _, matrix = dataio.read_features(args.features)
     if not 1 <= args.feature <= matrix.shape[1]:
         raise InputError(f"--feature must be in 1..{matrix.shape[1]}, got {args.feature}")
-    return events, matrix[:, args.feature - 1], None
+    return matrix[:, args.feature - 1], None
 
 
 def _print_experiment(report: pipeline.ExperimentReport) -> None:
@@ -92,9 +83,9 @@ def _print_experiment(report: pipeline.ExperimentReport) -> None:
 
 
 def _cmd_train_predict(args) -> int:
-    events, values, truth = _feature_source(args)
+    values, truth = _feature_source(args)
     reports, _ = pipeline.run_feature_experiment(
-        events, {args.feature: values}, {args.feature: truth}, args.split)
+        {args.feature: values}, {args.feature: truth}, args.split)
     report = reports[args.feature]
     _print_experiment(report)
     if args.out:
@@ -117,7 +108,7 @@ def _print_warning(report: pipeline.WarningReport) -> None:
 
 
 def _cmd_warn(args) -> int:
-    _, series, _ = _feature_source(args)
+    series, _ = _feature_source(args)
     report = pipeline.detect_warning(series, args.threshold, args.rapid_ratio)
     _print_warning(report)
     for note in report.notes:
@@ -207,9 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_compute_ph)
 
-    p = sub.add_parser("features", help="extract the 14 features per barcode file")
+    p = sub.add_parser("features",
+                       help="extract the 14 features per barcode file, at the file's own cap")
     p.add_argument("--barcode-dir", required=True)
-    p.add_argument("--max-filtration", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_features)
 

@@ -221,6 +221,8 @@ def read_barcode(path: str | Path) -> Barcode:
         cap = float(cap)
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
+    if not cap > 0:  # also false for nan
+        raise InputError(f"{path}:1: max_filtration must be positive, got {cap}")
     pairs = []
     for lineno, (dim, birth, death) in table:
         try:
@@ -239,11 +241,11 @@ def read_barcode(path: str | Path) -> Barcode:
 FEATURES_HEADER = "event," + ",".join(f"f{i}" for i in range(1, 15))
 
 
-def write_features(events: list[int], vectors: list[FeatureVector],
-                   path: str | Path) -> None:
+def write_features(vectors: list[FeatureVector], path: str | Path) -> None:
+    """One row per vector, its event being its position."""
     write_table(path, FEATURES_HEADER,
-                ([int(event)] + [getattr(vec, f"f{i}") for i in range(1, 15)]
-                 for event, vec in zip(events, vectors)))
+                ([event] + [getattr(vec, f"f{i}") for i in range(1, 15)]
+                 for event, vec in enumerate(vectors)))
 
 
 def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:

@@ -1,8 +1,9 @@
 """Vectorization of a barcode into the 14 scalar features fed to the predictor.
 
-Bar lengths are always computed with deaths clamped to the filtration cap so
-every feature is finite; counts (f13, f14) ignore clamping. Empty selections
-yield 0 rather than NaN to keep downstream regression inputs well defined.
+Bar lengths are always computed with deaths clamped to the barcode's own
+filtration cap so every feature is finite; counts (f13, f14) ignore
+clamping. Empty selections yield 0 rather than NaN to keep downstream
+regression inputs well defined.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class FeatureVector:
     f12: float
     f13: int
     f14: int
-    max_filtration: float
 
     def __post_init__(self):
         values = self.as_array()
@@ -75,13 +75,12 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
-def extract_features(b: Barcode, max_filtration: float | None = None) -> FeatureVector:
-    """Compute the 14 features of one barcode.
+def extract_features(b: Barcode) -> FeatureVector:
+    """Compute the 14 features of one barcode at its own cap.
 
-    max_filtration defaults to the barcode's own cap. Ties for the longest
-    dim-1 bar are broken by earliest birth.
+    Ties for the longest dim-1 bar are broken by earliest birth.
     """
-    cap = b.max_filtration if max_filtration is None else float(max_filtration)
+    cap = b.max_filtration
     if not cap > 0:
         raise InputError(f"max filtration must be positive, got {cap}")
 
@@ -119,16 +118,14 @@ def extract_features(b: Barcode, max_filtration: float | None = None) -> Feature
         f1=f1, f2=f2, f3=f3, f4=f4, f5=f5, f6=f6, f7=f7, f8=f8,
         f9=f9, f10=f10, f11=f11, f12=f12,
         f13=len(h0), f14=len(h1),
-        max_filtration=cap,
     )
 
 
-def feature_series(barcodes: list[Barcode],
-                   max_filtration: float | None = None) -> list[FeatureVector]:
+def feature_series(barcodes: list[Barcode]) -> list[FeatureVector]:
     """One FeatureVector per barcode, order preserved."""
     if not barcodes:
         raise InputError("feature series needs at least one barcode")
-    return [extract_features(b, max_filtration) for b in barcodes]
+    return [extract_features(b) for b in barcodes]
 
 
 def feature_matrix(vectors: list[FeatureVector]) -> np.ndarray:

@@ -52,7 +52,7 @@ def compute_barcodes(seq: SnapshotSequence,
                      max_filtration: float = DEFAULT_MAX_FILTRATION) -> list[Barcode]:
     """One barcode per snapshot, in event order."""
     barcodes = []
-    for event, cloud in zip(seq.events, seq.clouds):
+    for event, cloud in enumerate(seq.clouds):
         with _prefixed(f"[persistence event {event}] "):
             barcodes.append(barcode_from_cloud(cloud, max_filtration))
     return barcodes
@@ -66,9 +66,9 @@ def barcode_filename(event: int) -> str:
     return f"barcode_{event:03d}.csv"
 
 
-def read_barcode_dir(barcode_dir: Path) -> tuple[list[int], list[Barcode]]:
-    """The events and barcodes of the barcode_NNN.csv files in barcode_dir,
-    which must cover events 0..max without gaps."""
+def read_barcode_dir(barcode_dir: Path) -> list[Barcode]:
+    """The barcodes of the barcode_NNN.csv files in barcode_dir, in event
+    order; the files must cover events 0..max without gaps."""
     found = {}
     for p in sorted(barcode_dir.glob("barcode_*.csv")):
         m = BARCODE_FILE_RE.search(p.name)
@@ -79,8 +79,7 @@ def read_barcode_dir(barcode_dir: Path) -> tuple[list[int], list[Barcode]]:
     missing = [e for e in range(max(found) + 1) if e not in found]
     if missing:
         raise InputError(f"missing barcode file(s) for event(s) {missing} in {barcode_dir}")
-    events = sorted(found)
-    return events, [dataio.read_barcode(found[e]) for e in events]
+    return [dataio.read_barcode(found[e]) for e in sorted(found)]
 
 
 def write_barcode_stage(seq: SnapshotSequence, max_filtration: float,
@@ -92,10 +91,10 @@ def write_barcode_stage(seq: SnapshotSequence, max_filtration: float,
     (vectors, summary rows)."""
     barcodes = compute_barcodes(seq, max_filtration)
     barcode_dir.mkdir(parents=True, exist_ok=True)
-    for event, b in zip(seq.events, barcodes):
+    for event, b in enumerate(barcodes):
         dataio.write_barcode(b, barcode_dir / barcode_filename(event))
-    vectors = features.feature_series(barcodes, max_filtration)
-    rows = [(event, vec.f13, vec.f8, vec.f14) for event, vec in zip(seq.events, vectors)]
+    vectors = features.feature_series(barcodes)
+    rows = [(event, vec.f13, vec.f8, vec.f14) for event, vec in enumerate(vectors)]
     dataio.write_table(summary_path, SUMMARY_HEADER, rows)
     return vectors, rows
 
@@ -165,44 +164,45 @@ class ExperimentReport:
 
 
 def run_feature_experiment(
-    events: list[int], series: dict[int, np.ndarray],
-    truth: dict[int, dict[int, float] | None], split: int = DEFAULT_SPLIT,
+    series: dict[int, np.ndarray], truth: dict[int, dict[int, float] | None],
+    split: int = DEFAULT_SPLIT,
 ) -> tuple[dict[int, ExperimentReport], dict[int, FeaturePredictor]]:
-    """Train one regressor per feature on events <= split, predict the rest
+    """Train one regressor per feature on events 0..split, predict the rest
     and score them against truth[k]: by event, or None for the held-out
     events' own values. Returns the reports and predictors by feature.
 
-    series maps each feature to its values over events. Every regressor
-    takes the same standardized event indices as input, so the features
-    share one split, one standardization and one leave-one-out search: one
-    lssvm.select_hyperparameters call with a target column per searched
-    feature, which factors each kernel once for the whole run. A constant
-    training column skips the search and takes the exact flat model (zero
-    coefficients, bias equal to the constant): the KKT system is satisfied
-    exactly and predictions carry no solver noise. Each other feature's
-    chosen (gamma, kernel) is then trained on its own. Errors name the
-    feature they come from.
+    series maps each feature to its values over events 0..n-1: a value's
+    position is its event, so every series must have the same length. Every
+    regressor takes the same standardized event indices as input, so the
+    features share one split, one standardization and one leave-one-out
+    search: one lssvm.select_hyperparameters call with a target column per
+    searched feature, which factors each kernel once for the whole run. A
+    constant training column skips the search and takes the exact flat model
+    (zero coefficients, bias equal to the constant): the KKT system is
+    satisfied exactly and predictions carry no solver noise. Each other
+    feature's chosen (gamma, kernel) is then trained on its own. Errors name
+    the feature they come from.
     """
-    events = list(events)
-    train_idx = [i for i, e in enumerate(events) if e <= split]
-    test_idx = [i for i, e in enumerate(events) if e > split]
-    if len(train_idx) < 2:
+    values = {k: np.asarray(column, dtype=float) for k, column in series.items()}
+    lengths = {k: len(v) for k, v in values.items()}
+    n = max(lengths.values(), default=0)
+    if set(lengths.values()) != {n}:
+        raise InputError(f"feature series must share one length, got lengths {lengths}")
+    if split < 1:
         raise InputError(f"split {split} leaves fewer than 2 training events")
-    if not test_idx:
+    if split >= n - 1:
         raise InputError(f"split {split} leaves no test events")
-    train_events = np.array([events[i] for i in train_idx], dtype=float)
-    test_events = np.array([events[i] for i in test_idx])
+    # events 0..split with split >= 1 have a nonzero spread
+    train_events = np.arange(split + 1, dtype=float)
+    test_events = np.arange(split + 1, n)
     x_mean = float(train_events.mean())
     x_std = float(train_events.std())
-    if x_std == 0.0:
-        raise InputError("training events are all identical")
     xs = ((train_events - x_mean) / x_std)[:, None]
 
-    values, sets = {}, {}
-    for k, column in series.items():
+    sets = {}
+    for k, column in values.items():
         with _prefixed(f"feature {k}: "):
-            values[k] = np.asarray(column, dtype=float)
-            sets[k] = lssvm.TrainingSet(xs, values[k][train_idx])
+            sets[k] = lssvm.TrainingSet(xs, column[:split + 1])
     searched = [k for k, ts in sets.items() if np.ptp(ts.targets) > 0.0]
     picks = {}
     if searched:
@@ -231,7 +231,7 @@ def run_feature_experiment(
         predictions = {int(e): float(p) for e, p in zip(test_events, preds)}
         scored = truth[k]
         if scored is None:
-            scored = {events[i]: float(values[k][i]) for i in test_idx}
+            scored = {int(e): float(values[k][e]) for e in test_events}
         # no relative error for an event without a truth, or with a truth of 0
         rel = {e: abs(p - scored[e]) / abs(scored[e])
                for e, p in predictions.items() if scored.get(e)}
@@ -249,20 +249,18 @@ def run_feature_experiment(
     return reports, predictors
 
 
-def paper_source() -> tuple[list[int], dict[int, np.ndarray], dict[int, dict[int, float]]]:
-    """The bundled published series: events, values and held-out truth by feature."""
+def paper_source() -> tuple[dict[int, np.ndarray], dict[int, dict[int, float]]]:
+    """The bundled published series: values over events 0..20 and held-out
+    truth, by feature."""
     _, t6 = dataio.fixtures()
-    return (list(range(21)), {k: np.array(fx.y) for k, fx in t6.features.items()},
+    return ({k: np.array(fx.y) for k, fx in t6.features.items()},
             {k: fx.j for k, fx in t6.features.items()})
 
 
-def run_table6_experiment(feature_indices: tuple[int, ...] = EXPERIMENT_FEATURES,
-                          split: int = DEFAULT_SPLIT) -> dict[int, ExperimentReport]:
-    """Fixture-driven experiment: train on the published series, score against
-    the published held-out values."""
-    events, series, truth = paper_source()
-    return run_feature_experiment(events, {k: series[k] for k in feature_indices},
-                                  truth, split)[0]
+def run_table6_experiment() -> dict[int, ExperimentReport]:
+    """Fixture-driven experiment: train on the published series up to the
+    default split, score against the published held-out values."""
+    return run_feature_experiment(*paper_source())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +350,13 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
     written = {}
 
     if seq is None:
-        events, series, truth = paper_source()
+        series, truth = paper_source()
         model_dir = None
     else:
         with _prefixed("[compute-ph] "):
             vectors, _ = write_barcode_stage(seq, max_filtration, out_dir / "barcodes",
                                              out_dir / "summary.csv")
-        events = list(seq.events)
-        dataio.write_features(events, vectors, out_dir / "features.csv")
+        dataio.write_features(vectors, out_dir / "features.csv")
         written["barcodes"] = str(out_dir / "barcodes")
         written["features"] = str(out_dir / "features.csv")
         written["summary"] = str(out_dir / "summary.csv")
@@ -371,7 +368,7 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
 
     with _prefixed("[train-predict] "):
         reports, predictors = run_feature_experiment(
-            events, {k: series[k] for k in EXPERIMENT_FEATURES}, truth, split)
+            {k: series[k] for k in EXPERIMENT_FEATURES}, truth, split)
     if model_dir is not None:
         model_dir.mkdir(exist_ok=True)
         for k, predictor in predictors.items():

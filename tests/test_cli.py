@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +95,24 @@ def test_loadcalc_preset(tmp_path, capsys):
     capsys.readouterr()
 
 
+LOADCALC_CONFIG = {"--radius": 0.021, "--spacing": 0.45, "--charge-density": 1000,
+                   "--detonation-velocity": 3600, "--uncoupling": 1.4, "--enlargement": 8}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"--detonation-velocity": "inf"}, "detonation_velocity must be positive and finite, got inf"),
+    ({"--charge-density": 1e300, "--detonation-velocity": 1e5},
+     "single-hole peak pressure inf is not finite"),
+    ({"--detonation-velocity": 1e200}, "single-hole peak pressure inf is not finite"),
+], ids=["infinite-velocity", "product-overflows", "power-overflows"])
+def test_loadcalc_refuses_a_load_that_is_not_finite(tmp_path, capsys, changes, message):
+    args = [a for flag, value in {**LOADCALC_CONFIG, **changes}.items() for a in (flag, value)]
+    assert run(["loadcalc", *args, "--out", tmp_path / "load.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
+    assert not (tmp_path / "load.csv").exists()
+
+
 def test_loadcalc_requires_config_or_preset(capsys):
     assert run(["loadcalc"]) == 1
     assert "input error" in capsys.readouterr().err
@@ -104,18 +124,34 @@ def test_missing_manifest_is_input_error(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_features_warns_on_mixed_filtration(tmp_path, capsys):
+def test_features_refuses_mixed_caps(tmp_path, capsys):
+    # each barcode's features are taken at its own cap, so a series mixing
+    # caps would compare features measured on different scales
     data = tmp_path / "data"
     run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", 2,
          "--ring-radius", 6, "--out-dir", data])
+    bc_dir, other = tmp_path / "barcodes", tmp_path / "other"
+    for cap, out_dir in ((30, bc_dir), (18, other)):
+        run(["compute-ph", "--manifest", data / "manifest.json",
+             "--max-filtration", cap, "--out-dir", out_dir])
+    (bc_dir / "barcode_001.csv").write_bytes((other / "barcode_001.csv").read_bytes())
+    capsys.readouterr()
+    assert run(["features", "--barcode-dir", bc_dir, "--out", tmp_path / "f.csv"]) == 1
+    assert "mixed max_filtration values [18.0, 30.0]" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_features_names_a_barcode_file_with_a_bad_cap(tmp_path, capsys):
+    # nan != nan, so two nan caps would otherwise pass for two mixed caps
     bc_dir = tmp_path / "barcodes"
-    run(["compute-ph", "--manifest", data / "manifest.json",
-         "--max-filtration", 15, "--out-dir", bc_dir])
-    capsys.readouterr()
-    with pytest.warns(UserWarning, match="mixed|extracted with"):
-        assert run(["features", "--barcode-dir", bc_dir,
-                    "--max-filtration", 18, "--out", tmp_path / "f.csv"]) == 0
-    capsys.readouterr()
+    bc_dir.mkdir()
+    for event in (0, 1):
+        (bc_dir / f"barcode_00{event}.csv").write_text(
+            "# max_filtration=nan\ndim,birth,death\n0,0.0,inf\n")
+    assert run(["features", "--barcode-dir", bc_dir, "--out", tmp_path / "f.csv"]) == 1
+    err = capsys.readouterr().err
+    assert f"{bc_dir / 'barcode_000.csv'}:1: max_filtration must be positive, got nan" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_run_all_fixture_gate(tmp_path, capsys):
@@ -328,6 +364,8 @@ def test_unreadable_or_unwritable_input_is_input_error(tmp_path, capsys, case):
      "--keep-zero-bars"),
     (["run-all", "--split", "abc", "--out-dir", "out"], "--split"),
     (["compute-ph", "--manifest", "m.json"], "--out-dir"),
+    (["features", "--barcode-dir", "b", "--out", "f.csv", "--max-filtration", "18"],
+     "--max-filtration"),
 ])
 def test_usage_error_exits_one_with_argparse_message(capsys, args, flag):
     assert run(args) == 1
@@ -392,3 +430,21 @@ def test_numerical_error_names_the_feature(tmp_path, capsys, monkeypatch, args, 
     assert run(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"numerical error: {prefix}KKT solve failed at gamma=1, ")
+
+
+def readme_commands():
+    """The tunneltda lines of README's "Command line" block, as argument lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("tunneltda ")]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # a flag that the parser no longer has must not survive in the docs
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert len(commands) == 10
+    for args in commands:
+        assert run(args) == (3 if "--gate" in args else 0), args
+    capsys.readouterr()

@@ -172,6 +172,17 @@ def test_barcode_nan_or_bad_dim_rejected(tmp_path, row, message):
         dataio.read_barcode(path)
 
 
+@pytest.mark.parametrize("cap, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_barcode_cap_must_be_positive(tmp_path, cap, shown):
+    # features clamp deaths to the cap, so a cap of 0 or below, or nan,
+    # would give features that measure nothing
+    path = tmp_path / "bc.csv"
+    path.write_text(f"# max_filtration={cap}\ndim,birth,death\n0,0.0,inf\n")
+    with pytest.raises(InputError) as exc:
+        dataio.read_barcode(path)
+    assert str(exc.value) == f"{path}:1: max_filtration must be positive, got {shown}"
+
+
 # ---------------------------------------------------------------------------
 # features files
 
@@ -179,7 +190,7 @@ def test_features_round_trip(tmp_path):
     b = bars((0, 0.0, INF), (0, 0.0, 3.0), (1, 2.0, 4.0), cap=10.0)
     vec = extract_features(b)
     path = tmp_path / "features.csv"
-    dataio.write_features([0, 1], [vec, vec], path)
+    dataio.write_features([vec, vec], path)
     events, matrix = dataio.read_features(path)
     assert events == [0, 1]
     assert matrix.shape == (2, 14)
@@ -284,26 +295,22 @@ def test_barcode_codec_round_trip(codec_dir, bars, cap):
 
 
 feature_vectors = st.builds(
-    lambda values, counts: FeatureVector(*values, *counts, max_filtration=1.0),
+    lambda values, counts: FeatureVector(*values, *counts),
     st.lists(finite, min_size=12, max_size=12),
     st.lists(st.integers(0, 10**6), min_size=2, max_size=2))
-
-
-def write_vectors(vectors, path):
-    dataio.write_features(list(range(len(vectors))), vectors, path)
 
 
 def read_vectors(path):
     events, matrix = dataio.read_features(path)
     assert events == list(range(len(matrix)))
-    return [FeatureVector(*row[:12], int(row[12]), int(row[13]), max_filtration=1.0)
+    return [FeatureVector(*row[:12], int(row[12]), int(row[13]))
             for row in matrix.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(feature_vectors, min_size=1, max_size=10))
 def test_features_codec_round_trip(codec_dir, vectors):
-    back, same_bytes = round_trip(write_vectors, read_vectors, vectors,
+    back, same_bytes = round_trip(dataio.write_features, read_vectors, vectors,
                                   codec_dir / "features.csv")
     assert [exact(v.as_array()) for v in back] == [exact(v.as_array()) for v in vectors]
     assert [(v.f13, v.f14) for v in back] == [(v.f13, v.f14) for v in vectors]

@@ -79,7 +79,7 @@ def test_closed_form_matches_reference_on_fixture_series(feature):
 def scenario_matrix(seed: int) -> np.ndarray:
     seq = generate_sequence(ScenarioConfig(seed=seed))
     barcodes = pipeline.compute_barcodes(seq, DEFAULT_MAX_FILTRATION)
-    return features.feature_matrix(features.feature_series(barcodes, DEFAULT_MAX_FILTRATION))
+    return features.feature_matrix(features.feature_series(barcodes))
 
 
 @pytest.fixture(scope="module")
@@ -341,8 +341,7 @@ def test_constant_column_takes_flat_model_outside_the_search(monkeypatch):
         return search(ts, *args)
 
     monkeypatch.setattr(lssvm, "select_hyperparameters", recording)
-    reports, predictors = pipeline.run_feature_experiment(
-        list(range(21)), series, dict.fromkeys(series))
+    reports, predictors = pipeline.run_feature_experiment(series, dict.fromkeys(series))
     assert len(searched) == 1
     train = slice(0, pipeline.DEFAULT_SPLIT + 1)
     np.testing.assert_array_equal(

@@ -99,10 +99,9 @@ def test_table6_experiment_meets_error_gates():
 
 
 def test_constant_feature_predicts_exactly():
-    events = list(range(21))
     values = np.full(21, 42.0)
     truth = {e: 42.0 for e in range(16, 21)}
-    reports, predictors = run_feature_experiment(events, {13: values}, {13: truth})
+    reports, predictors = run_feature_experiment({13: values}, {13: truth})
     report, predictor = reports[13], predictors[13]
     assert all(v == 42.0 for v in report.predictions.values())
     assert report.max_rel_error() == 0.0
@@ -110,27 +109,34 @@ def test_constant_feature_predicts_exactly():
 
 
 def test_trend_guard_applies_only_to_monotone_series():
-    events = list(range(12))
     down = np.linspace(10.0, 4.0, 12)
-    report = run_feature_experiment(events, {8: down}, {8: {}}, split=8)[0][8]
+    report = run_feature_experiment({8: down}, {8: {}}, split=8)[0][8]
     assert report.trend_guard_applied
     preds = [report.predictions[e] for e in sorted(report.predictions)]
     assert all(a >= b for a, b in zip(preds, preds[1:]))
     assert preds[0] <= down[8]
 
     wiggly = np.array([3.0, 4.0, 2.0, 5.0, 3.5, 4.2, 2.8, 4.9, 3.1, 4.4, 2.6, 4.7])
-    report = run_feature_experiment(events, {14: wiggly}, {14: {}}, split=8)[0][14]
+    report = run_feature_experiment({14: wiggly}, {14: {}}, split=8)[0][14]
     assert not report.trend_guard_applied
 
 
 def test_experiment_requires_test_events():
     with pytest.raises(InputError):
-        run_feature_experiment(list(range(5)), {1: np.arange(5.0)}, {1: {}}, split=10)
+        run_feature_experiment({1: np.arange(5.0)}, {1: {}}, split=10)
+
+
+def test_experiment_series_must_share_one_length():
+    # a value's position is its event, so a short series would leave held-out
+    # events without a value and a long one would add events the others lack
+    series = {8: np.linspace(21.0, 17.0, 21), 14: np.linspace(8.0, 14.0, 20)}
+    with pytest.raises(InputError, match=r"got lengths \{8: 21, 14: 20\}"):
+        run_feature_experiment(series, dict.fromkeys(series))
 
 
 def test_predictor_round_trips_through_model_file(tmp_path):
     # trained on events 0..15
-    predictor = run_feature_experiment(list(range(21)), {8: table6_f8()}, {8: None})[1][8]
+    predictor = run_feature_experiment({8: table6_f8()}, {8: None})[1][8]
     path = tmp_path / "model.json"
     dataio.write_model(predictor.model, predictor.x_mean, predictor.x_std, path)
     model, mean, std = dataio.read_model(path)
@@ -191,7 +197,7 @@ def test_run_all_matches_stagewise_composition(tmp_path):
 
     barcodes = pipeline.compute_barcodes(seq, 25.0)
     from tunneltda.features import feature_matrix, feature_series
-    matrix = feature_matrix(feature_series(barcodes, 25.0))
+    matrix = feature_matrix(feature_series(barcodes))
 
     events, stored = dataio.read_features(out / "features.csv")
     assert events == list(seq.events)
@@ -208,8 +214,7 @@ def test_run_all_matches_stagewise_composition(tmp_path):
     experiment = json.loads((out / "experiment.json").read_text())
     column = matrix[:, 7]
     truth = {e: float(column[e]) for e in seq.events if e > 5}
-    direct_report = run_feature_experiment(list(seq.events), {8: column}, {8: truth},
-                                           split=5)[0][8]
+    direct_report = run_feature_experiment({8: column}, {8: truth}, split=5)[0][8]
     assert experiment["8"]["predictions"] == {
         str(e): v for e, v in direct_report.predictions.items()}
 
@@ -253,6 +258,6 @@ def test_no_scored_event_gives_nan_max_rel_error():
     # f14 (holes) is 0 from event 16 on: every held-out truth is 0, so no
     # event is scored, and that must not read as a perfect forecast
     values = np.array([max(0, 5 - e // 4) if e < 16 else 0 for e in range(21)], dtype=float)
-    report = run_feature_experiment(list(range(21)), {14: values}, {14: None})[0][14]
+    report = run_feature_experiment({14: values}, {14: None})[0][14]
     assert report.rel_errors == {}
     assert math.isnan(report.max_rel_error())
