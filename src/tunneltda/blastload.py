@@ -72,8 +72,6 @@ def peak_pressure(cfg: BlastConfig) -> float:
 
 def equivalent_uniform_peak(cfg: BlastConfig, p_m: float) -> float:
     """Smear a single-hole peak over the hole spacing: (2R/L) * P_m."""
-    if not cfg.spacing > 0:
-        raise InputError("hole spacing must be positive")
     return 2.0 * cfg.radius / cfg.spacing * p_m
 
 
@@ -81,10 +79,20 @@ def uniform_peak_direct(cfg: BlastConfig) -> float:
     """One-shot formula for the uniform peak, bypassing the single-hole value.
 
     Algebraically identical to equivalent_uniform_peak(cfg, peak_pressure(cfg));
-    kept as an independent route for cross-checking.
+    kept as an independent route for cross-checking. The two routes agree only
+    where neither overflows: this one multiplies R/4L in first, so at
+    charge_density=1e300 and detonation_velocity=1e5 it returns a finite
+    1.2396e308 while peak_pressure refuses the same config. A uniform peak
+    that is not finite is an InputError.
     """
-    return (cfg.radius / (4.0 * cfg.spacing) * cfg.charge_density
-            * cfg.detonation_velocity ** 2 * cfg.uncoupling ** -6 * cfg.enlargement)
+    try:
+        peak = (cfg.radius / (4.0 * cfg.spacing) * cfg.charge_density
+                * cfg.detonation_velocity ** 2 * cfg.uncoupling ** -6 * cfg.enlargement)
+    except OverflowError:  # a float ** int raises where a product gives inf
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise InputError(f"uniform peak pressure {peak} is not finite for {cfg}")
+    return peak
 
 
 def shape_factor(profile: LoadProfile, t: float) -> float:

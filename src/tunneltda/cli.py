@@ -33,9 +33,6 @@ def _cmd_compute_ph(args) -> int:
 
 def _cmd_features(args) -> int:
     barcodes = pipeline.read_barcode_dir(Path(args.barcode_dir))
-    caps = {b.max_filtration for b in barcodes}
-    if len(caps) > 1:
-        raise InputError(f"barcode files carry mixed max_filtration values {sorted(caps)}")
     dataio.write_features(feature_series(barcodes), args.out)
     print(f"wrote {len(barcodes)} feature rows to {args.out}")
     return 0

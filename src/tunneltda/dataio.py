@@ -63,10 +63,10 @@ def _read_text(path: Path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_table(path: Path, kind: str, header: str, n_fields: int,
-                preamble: str | None = None,
+def _read_table(path: Path, kind: str, header: str, preamble: str | None = None,
                 empty_ok: bool = False) -> tuple[str | None, list[tuple[int, list[str]]]]:
-    """(rest of the preamble line or None, non-blank rows as (line number, fields))."""
+    """(rest of the preamble line or None, non-blank rows as (line number,
+    fields)), each row having as many fields as the header."""
     if not path.exists():
         raise InputError(f"{kind} file not found: {path}")
     lines = _read_text(path).splitlines()
@@ -78,6 +78,7 @@ def _read_table(path: Path, kind: str, header: str, n_fields: int,
     header_line = 1 if preamble is None else 2
     if not lines or lines[0].strip() != header:
         raise InputError(f"{path}:{header_line}: missing header '{header}'")
+    n_fields = header.count(",") + 1
     rows = []
     for lineno, line in enumerate(lines[1:], start=header_line + 1):
         if not line.strip():
@@ -104,7 +105,7 @@ def write_snapshot(pc: PointCloud, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> PointCloud:
     path = Path(path)
-    _, table = _read_table(path, "snapshot", SNAPSHOT_HEADER, 3)
+    _, table = _read_table(path, "snapshot", SNAPSHOT_HEADER)
     ids, coords = [], []
     seen = set()
     for lineno, (bid, x, y) in table:
@@ -215,7 +216,7 @@ def write_barcode(b: Barcode, path: str | Path) -> None:
 
 def read_barcode(path: str | Path) -> Barcode:
     path = Path(path)
-    cap, table = _read_table(path, "barcode", BARCODE_HEADER, 3,
+    cap, table = _read_table(path, "barcode", BARCODE_HEADER,
                              preamble=BARCODE_PREAMBLE, empty_ok=True)
     try:
         cap = float(cap)
@@ -229,8 +230,12 @@ def read_barcode(path: str | Path) -> Barcode:
             dim, birth, death = int(dim), float(birth), float(death)
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed persistence pair") from None
-        if death < birth:
-            raise InputError(f"{path}:{lineno}: death {death} precedes birth {birth}")
+        # the checks of Barcode, with the file and line in the message
+        if dim not in (0, 1):
+            raise InputError(f"{path}:{lineno}: dimension {dim}, expected 0 or 1")
+        if not 0 <= birth <= death:  # also true when either is NaN
+            raise InputError(f"{path}:{lineno}: death {death} and birth {birth} make an "
+                             "invalid persistence pair; need 0 <= birth <= death")
         pairs.append(PersistencePair(dim, birth, death))
     return Barcode(tuple(pairs), cap)
 
@@ -253,7 +258,7 @@ def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
 
     The event column must run 0..n-1 in file order."""
     path = Path(path)
-    _, table = _read_table(path, "features", FEATURES_HEADER, 15)
+    _, table = _read_table(path, "features", FEATURES_HEADER)
     rows = []
     for lineno, parts in table:
         try:
@@ -328,7 +333,6 @@ class FixtureTable5:
 class FeatureFixture:
     """One feature's published series: per-event values, held-out truth, errors."""
 
-    index: int
     y: tuple[float, ...]            # events 0..20 (16..20 are model outputs)
     j: dict[int, float] = field(default_factory=dict)   # published truth, 16..20
     w_percent: dict[int, float] = field(default_factory=dict)  # reported errors
@@ -374,29 +378,25 @@ def fixtures() -> tuple[FixtureTable5, FixtureTable6]:
     t6 = FixtureTable6(
         features={
             2: FeatureFixture(
-                2, _F2_Y,
+                _F2_Y,
                 j={16: 11.8, 17: 11.7, 18: 11.65, 19: 11.42, 20: 11.1},
                 w_percent={16: 1.72, 17: 1.38, 18: 3.74, 19: 7.53, 20: 8.82},
             ),
             8: FeatureFixture(
-                8, _F8_Y,
+                _F8_Y,
                 j={16: 16.54, 17: 16.44, 18: 16.40, 19: 16.39, 20: 16.37},
                 w_percent={16: 0.73, 17: 0.79, 18: 0.86, 19: 1.48, 20: 2.25},
             ),
             13: FeatureFixture(
-                13, _F13_Y,
+                _F13_Y,
                 j={16: 42.0, 17: 42.0, 18: 42.0, 19: 42.0, 20: 42.0},
             ),
             14: FeatureFixture(
-                14, _F14_Y,
+                _F14_Y,
                 j={16: 13.0, 17: 15.0, 18: 13.0, 19: 13.0, 20: 15.0},
                 w_percent={16: 7.14, 17: 36.36, 18: 8.3, 19: 100.0, 20: 6.67},
             ),
         },
         notes=_FIXTURE_NOTES,
     )
-    # guard against transcription slips
-    assert all(a[1] <= b[1] and a[2] <= b[2] for a, b in zip(t5.rows, t5.rows[1:]))
-    assert all(a > b for a, b in zip(_F8_Y, _F8_Y[1:]))
-    assert set(t6.features[13].y) == {42.0}
     return t5, t6

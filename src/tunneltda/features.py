@@ -110,7 +110,8 @@ def extract_features(b: Barcode) -> FeatureVector:
     f9 = min((birth for birth, _ in long_bars), default=0.0)
     f10 = _mean([(birth + death) / 2.0 for birth, death in long_bars])
 
-    censored = [cap - p.birth for p in b.in_dim(1) if p.death >= cap]
+    # a clamped death reaches the cap exactly when the death does
+    censored = [cap - birth for birth, death in h1 if death >= cap]
     f11 = float(sum(censored))
     f12 = _mean(censored)
 

@@ -111,19 +111,37 @@ def _kkt_system(ts: TrainingSet, gamma: float, kernel: KernelSpec):
     return A, rhs
 
 
+def _condition_number(A: np.ndarray, where: str, what: str) -> float:
+    """Exact 2-norm condition number of the symmetric KKT matrix A,
+    max|lambda| / min|lambda| over its eigenvalues. Above the threshold it
+    warns that what, computed at where, may be inaccurate."""
+    try:
+        lam = np.abs(np.linalg.eigvalsh(A))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"KKT eigendecomposition failed at {where}: {exc}") from exc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max() / lam.min()
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"KKT system condition number {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e} "
+            f"at {where}; {what} may be inaccurate (near-duplicate inputs or extreme gamma)",
+            ConditioningWarning,
+        )
+    return cond
+
+
+def _describe(gamma: float, kernel: KernelSpec) -> str:
+    sigma = f" sigma={kernel.sigma:g}" if kernel.kind == "rbf" else ""
+    return f"gamma={gamma:g}, {kernel.kind} kernel{sigma}"
+
+
 def _solve(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> tuple[float, np.ndarray]:
     if not gamma > 0:
         raise InputError(f"gamma must be positive, got {gamma}")
     if ts.targets.ndim != 1:
         raise InputError(f"training takes one target series, got shape {ts.targets.shape}")
     A, rhs = _kkt_system(ts, gamma, kernel)
-    cond = np.linalg.cond(A)
-    if cond > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"KKT system condition number {cond:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
-            "solution may be inaccurate (near-duplicate inputs or extreme gamma)",
-            ConditioningWarning,
-        )
+    cond = _condition_number(A, _describe(gamma, kernel), "the solution")
     try:
         z = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
@@ -152,12 +170,7 @@ def train_regressor(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> LssvmM
 
 def predict(model: LssvmModel, x: np.ndarray) -> float:
     """Decision value at one input vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != model.inputs.shape[1]:
-        raise InputError(
-            f"input has dimension {x.shape[0]}, model was trained on {model.inputs.shape[1]}"
-        )
-    return float(predict_batch(model, x[None, :])[0])
+    return float(predict_batch(model, np.asarray(x, dtype=float).ravel()[None, :])[0])
 
 
 def predict_batch(model: LssvmModel, X: np.ndarray) -> np.ndarray:
@@ -199,12 +212,12 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
     warning and, per column, a finite solution with a small KKT residual; a
     zero or non-finite diagonal of A^-1 is a NumericalError too. A point
     whose bound is not within the conditioning threshold, or that fails a
-    check in some column, gets its exact 2-norm condition number from the
-    eigenvalues of its own bordered matrix. Then, in grid order, the point
-    warns once if that number exceeds the threshold, whatever k is, and
-    raises for the first column that failed a check; the NumericalError
-    names that column, also in its `column` attribute. Returns an array of
-    shape (len(grid),) + ts.targets.shape.
+    check in some column, gets the exact condition number of its own
+    bordered matrix from _condition_number, as training does. Then, in grid
+    order, the point warns once if that number exceeds the threshold,
+    whatever k is, and raises for the first column that failed a check; the
+    NumericalError names that column, also in its `column` attribute.
+    Returns an array of shape (len(grid),) + ts.targets.shape.
     """
     for gamma, _ in grid:
         if not gamma > 0:
@@ -216,19 +229,8 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
     ok = solved & np.isfinite(errs).all(axis=1)
     for g in np.flatnonzero(~(bound <= CONDITION_WARN_THRESHOLD) | ~ok.all(axis=1)):
         gamma, kernel = grid[g]
-        try:
-            lam = np.abs(np.linalg.eigvalsh(_kkt_system(ts, gamma, kernel)[0]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"KKT eigendecomposition failed: {exc}") from exc
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = lam.max() / lam.min()
-        if cond > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"KKT system condition number {cond:.3g} exceeds "
-                f"{CONDITION_WARN_THRESHOLD:.0e} at {_describe(gamma, kernel)}; leave-one-out "
-                "errors may be inaccurate (near-duplicate inputs or extreme gamma)",
-                ConditioningWarning,
-            )
+        cond = _condition_number(_kkt_system(ts, gamma, kernel)[0], _describe(gamma, kernel),
+                                 "leave-one-out errors")
         failed = np.flatnonzero(~ok[g])
         if failed.size:
             j = int(failed[0])
@@ -305,11 +307,6 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
     noise = 1e3 * m * np.finfo(float).eps * np.abs(mu).max(axis=1)[which]
     bound[~(d.min(axis=1) > noise)] = np.inf
     return errs, residual, bound
-
-
-def _describe(gamma: float, kernel: KernelSpec) -> str:
-    sigma = f" sigma={kernel.sigma:g}" if kernel.kind == "rbf" else ""
-    return f"gamma={gamma:g}, {kernel.kind} kernel{sigma}"
 
 
 def select_hyperparameters(

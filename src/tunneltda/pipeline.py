@@ -68,7 +68,8 @@ def barcode_filename(event: int) -> str:
 
 def read_barcode_dir(barcode_dir: Path) -> list[Barcode]:
     """The barcodes of the barcode_NNN.csv files in barcode_dir, in event
-    order; the files must cover events 0..max without gaps."""
+    order; the files must cover events 0..max without gaps and carry one
+    max_filtration, since each barcode's features are taken at its own cap."""
     found = {}
     for p in sorted(barcode_dir.glob("barcode_*.csv")):
         m = BARCODE_FILE_RE.search(p.name)
@@ -79,7 +80,16 @@ def read_barcode_dir(barcode_dir: Path) -> list[Barcode]:
     missing = [e for e in range(max(found) + 1) if e not in found]
     if missing:
         raise InputError(f"missing barcode file(s) for event(s) {missing} in {barcode_dir}")
-    return [dataio.read_barcode(found[e]) for e in sorted(found)]
+    barcodes = [dataio.read_barcode(found[e]) for e in sorted(found)]
+    first = {}  # the first file at each cap
+    for e, b in enumerate(barcodes):
+        first.setdefault(b.max_filtration, found[e].name)
+    if len(first) > 1:
+        (cap, name), *rest = first.items()
+        raise InputError(f"barcode files in {barcode_dir} carry mixed max_filtration values: "
+                         f"{name} has max_filtration {cap}, "
+                         + ", ".join(f"{n} has {c}" for c, n in rest))
+    return barcodes
 
 
 def write_barcode_stage(seq: SnapshotSequence, max_filtration: float,
@@ -300,6 +310,7 @@ def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
         raise InputError(f"warning threshold must be finite, got {threshold}")
     if not rapid_change_ratio > 0:
         raise InputError(f"rapid-change ratio must be positive, got {rapid_change_ratio}")
+    drops = [a - b for a, b in zip(series, series[1:])]  # drops[e - 1]: into event e
     at_threshold = []
     trigger_event = None
     criterion = None
@@ -311,9 +322,8 @@ def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
                 trigger_event, criterion = e, "threshold"
                 break
         if e >= 2:
-            drops = [series[i - 1] - series[i] for i in range(1, e + 1)]
-            median_prior = statistics.median(drops[:-1])
-            if median_prior > 0 and drops[-1] > rapid_change_ratio * median_prior:
+            median_prior = statistics.median(drops[:e - 1])
+            if median_prior > 0 and drops[e - 1] > rapid_change_ratio * median_prior:
                 trigger_event, criterion = e, "rapid-change"
                 break
     notes = tuple(

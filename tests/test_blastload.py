@@ -63,6 +63,21 @@ def test_direct_route_equals_composed_route():
         assert uniform_peak_direct(cfg) == pytest.approx(composed, rel=1e-12)
 
 
+def test_direct_route_refuses_an_overflowing_peak():
+    # D ** 2 raises OverflowError at D = 1e200, where a product would give
+    # inf; both routes refuse the config with an InputError instead
+    cfg = BlastConfig(0.021, 0.45, 1000.0, 1e200, 1.4, 8.0)
+    for route in (uniform_peak_direct, peak_pressure):
+        with pytest.raises(InputError, match="peak pressure inf is not finite"):
+            route(cfg)
+    # the direct route multiplies R/4L in first, so the routes agree only
+    # where neither overflows: here only the single-hole peak does
+    cfg = BlastConfig(0.021, 0.45, 1e300, 1e5, 1.4, 8.0)
+    assert uniform_peak_direct(cfg) == pytest.approx(1.2396e308, rel=1e-4)
+    with pytest.raises(InputError, match="not finite"):
+        peak_pressure(cfg)
+
+
 def test_uniform_peak_linear_in_inputs():
     cfg = config()
     p = equivalent_uniform_peak(cfg, 1.0e9)

@@ -137,7 +137,9 @@ def test_features_refuses_mixed_caps(tmp_path, capsys):
     (bc_dir / "barcode_001.csv").write_bytes((other / "barcode_001.csv").read_bytes())
     capsys.readouterr()
     assert run(["features", "--barcode-dir", bc_dir, "--out", tmp_path / "f.csv"]) == 1
-    assert "mixed max_filtration values [18.0, 30.0]" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "barcode_000.csv has max_filtration 30.0" in err
+    assert "barcode_001.csv has 18.0" in err
     assert not (tmp_path / "f.csv").exists()
 
 

@@ -164,12 +164,14 @@ def test_barcode_malformed_death_token(tmp_path):
     ("1,1.0,nan", "invalid persistence pair"),
     ("2,1.0,2.0", "dimension 2"),
     ("-1,0.0,inf", "dimension -1"),
+    ("0,-1.0,1.0", "invalid persistence pair"),
 ])
 def test_barcode_nan_or_bad_dim_rejected(tmp_path, row, message):
     path = tmp_path / "bc.csv"
     path.write_text(f"# max_filtration=5.0\ndim,birth,death\n{row}\n")
-    with pytest.raises(InputError, match=message):
+    with pytest.raises(InputError, match=message) as exc:
         dataio.read_barcode(path)
+    assert str(exc.value).startswith(f"{path}:3: ")
 
 
 @pytest.mark.parametrize("cap, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])

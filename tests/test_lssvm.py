@@ -137,6 +137,21 @@ def test_duplicate_points_with_huge_gamma_report_ill_conditioning():
             pass  # a failed solve is acceptable here; the warning must fire first
 
 
+def test_training_warning_names_its_point_and_matches_the_search():
+    # training and the leave-one-out search take the KKT condition number
+    # the same way, so at one grid point they report one number
+    ts = TrainingSet(np.array([[1.0], [1.0]]), np.array([-1.0, 1.0]))
+    numbers = []
+    for run in (train_regressor, loo_squared_errors):
+        with pytest.warns(ConditioningWarning) as record:
+            run(ts, 1e15, LINEAR)
+        assert len(record) == 1
+        message = str(record[0].message)
+        assert "exceeds 1e+12 at gamma=1e+15, linear kernel;" in message
+        numbers.append(message.split("condition number ")[1].split()[0])
+    assert numbers[0] == numbers[1]
+
+
 def test_classifier_rejects_non_binary_targets():
     ts = TrainingSet(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(InputError):

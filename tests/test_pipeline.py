@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunneltda import dataio, features, pipeline
 from tunneltda.dataio import SnapshotSequence
@@ -13,6 +14,8 @@ from tunneltda.pipeline import (FeaturePredictor, detect_warning, run_all,
                                 run_feature_experiment, run_table6_experiment)
 from tunneltda.synth import ScenarioConfig, generate_sequence
 from tunneltda.topology import PointCloud, betti_numbers
+
+import reference_warning
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +86,25 @@ def test_warning_flat_prefix_guarded():
     # median prior drop is zero: the ratio criterion must stay silent
     report = detect_warning([5.0, 5.0, 5.0, 4.0], threshold=None)
     assert not report.triggered
+
+
+# a few shared levels make ties between values and drops, and plateaus, common
+LEVELS = st.sampled_from([16.0, 17.5, 18.0, 18.0, 21.68, 21.7])
+STEPS = st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.5, 2.0, -0.02])
+warning_series = st.one_of(
+    st.lists(st.one_of(LEVELS, st.floats(0.0, 30.0)), min_size=2, max_size=40),
+    st.builds(lambda start, steps: list(start - np.cumsum([0.0] + steps)),
+              LEVELS, st.lists(STEPS, min_size=1, max_size=39)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(warning_series, st.one_of(st.none(), LEVELS, st.floats(0.0, 30.0)),
+       st.sampled_from([0.5, 1.0, 2.0, 10.0]))
+def test_warning_matches_per_event_reference_scan(series, threshold, ratio):
+    # the drops are built once per call; the reference rebuilds them per event
+    assert detect_warning(series, threshold, ratio) == reference_warning.detect_warning(
+        series, threshold, ratio)
 
 
 # ---------------------------------------------------------------------------
