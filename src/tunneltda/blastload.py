@@ -9,7 +9,7 @@ followed by a linear decay to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import InputError
 
@@ -30,11 +30,10 @@ class BlastConfig:
     enlargement: float
 
     def __post_init__(self):
-        for name in ("radius", "spacing", "charge_density", "detonation_velocity",
-                     "uncoupling", "enlargement"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not 0 < value < math.inf:
-                raise InputError(f"{name} must be positive and finite, got {value}")
+                raise InputError(f"{f.name} must be positive and finite, got {value}")
         if self.uncoupling < 1.0:
             raise InputError(f"uncoupling coefficient must be >= 1, got {self.uncoupling}")
 

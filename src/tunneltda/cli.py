@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 
@@ -38,10 +38,14 @@ def _cmd_features(args) -> int:
     return 0
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _reject_with_preset(args, *names: str) -> None:
     """--preset paper replaces these inputs, so giving one as well is an error."""
     if args.preset == "paper":
-        given = ["--" + n.replace("_", "-") for n in names if getattr(args, n) is not None]
+        given = [_flag(n) for n in names if getattr(args, n) is not None]
         if given:
             raise InputError(f"--preset paper cannot be combined with {', '.join(given)}")
 
@@ -118,8 +122,7 @@ def _cmd_warn(args) -> int:
     return 0
 
 
-LOADCALC_GEOMETRY = ("radius", "spacing", "charge_density", "detonation_velocity",
-                     "uncoupling", "enlargement")
+LOADCALC_GEOMETRY = tuple(f.name for f in fields(blastload.BlastConfig))
 
 
 def _cmd_loadcalc(args) -> int:
@@ -131,7 +134,7 @@ def _cmd_loadcalc(args) -> int:
         if missing:
             raise InputError(
                 "loadcalc needs --preset paper or all of: "
-                + ", ".join("--" + n.replace("_", "-") for n in missing))
+                + ", ".join(_flag(n) for n in missing))
         cfg = blastload.BlastConfig(*(getattr(args, n) for n in LOADCALC_GEOMETRY))
         load = blastload.calibrated_from_config(cfg)
     profile = load.profile
@@ -152,10 +155,8 @@ def _cmd_loadcalc(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    cfg = synth.ScenarioConfig(
-        n_blocks=args.n_blocks, n_events=args.n_events, seed=args.seed,
-        ring_radius=args.ring_radius, collapse_rate=args.collapse_rate,
-        jitter=args.jitter)
+    cfg = synth.ScenarioConfig(**{f.name: getattr(args, f.name)
+                                  for f in fields(synth.ScenarioConfig)})
     seq = synth.generate_sequence(cfg)
     manifest = dataio.write_sequence(seq, args.out_dir)
     print(f"wrote {len(seq)} snapshots and manifest to {manifest}")
@@ -222,22 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("loadcalc", help="equivalent uniform blast load table")
     p.add_argument("--preset", choices=["paper"])
-    p.add_argument("--radius", type=float)
-    p.add_argument("--spacing", type=float)
-    p.add_argument("--charge-density", type=float)
-    p.add_argument("--detonation-velocity", type=float)
-    p.add_argument("--uncoupling", type=float)
-    p.add_argument("--enlargement", type=float)
+    for name in LOADCALC_GEOMETRY:
+        p.add_argument(_flag(name), type=float)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_loadcalc)
 
     p = sub.add_parser("synth", help="write a synthetic collapse sequence")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--n-blocks", type=int, default=42)
-    p.add_argument("--n-events", type=int, default=20)
-    p.add_argument("--ring-radius", type=float, default=12.0)
-    p.add_argument("--collapse-rate", type=float, default=0.35)
-    p.add_argument("--jitter", type=float, default=0.05)
+    for f in fields(synth.ScenarioConfig):
+        p.add_argument(_flag(f.name), type=type(f.default), default=f.default)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_synth)
 

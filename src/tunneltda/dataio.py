@@ -5,7 +5,9 @@ Formats (all plain text, numbers written with full round-trip precision):
   manifest  JSON listing ``{"event": int, "path": str}`` pairs (paths
             relative to the manifest), optional ``metadata``
   barcode   CSV ``dim,birth,death`` with ``inf`` for open deaths, preceded
-            by a ``# max_filtration=...`` comment line
+            by a ``# max_filtration=...`` comment line; the cap is positive
+            and finite, there is at least one bar, and no birth or finite
+            death lies above the cap, as the engine writes it
   features  CSV, header ``event,f1..f14``; the event column runs 0..n-1 in
             file order
   model     JSON with kernel spec, gamma, standardization constants,
@@ -26,6 +28,7 @@ comes, and the command line reports that as an input error too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,8 +66,8 @@ def _read_text(path: Path) -> str:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _read_table(path: Path, kind: str, header: str, preamble: str | None = None,
-                empty_ok: bool = False) -> tuple[str | None, list[tuple[int, list[str]]]]:
+def _read_table(path: Path, kind: str, header: str,
+                preamble: str | None = None) -> tuple[str | None, list[tuple[int, list[str]]]]:
     """(rest of the preamble line or None, non-blank rows as (line number,
     fields)), each row having as many fields as the header."""
     if not path.exists():
@@ -87,7 +90,7 @@ def _read_table(path: Path, kind: str, header: str, preamble: str | None = None,
         if len(parts) != n_fields:
             raise InputError(f"{path}:{lineno}: expected {n_fields} comma-separated fields")
         rows.append((lineno, parts))
-    if not rows and not empty_ok:
+    if not rows:
         raise InputError(f"{path}: no data rows")
     return value, rows
 
@@ -216,14 +219,13 @@ def write_barcode(b: Barcode, path: str | Path) -> None:
 
 def read_barcode(path: str | Path) -> Barcode:
     path = Path(path)
-    cap, table = _read_table(path, "barcode", BARCODE_HEADER,
-                             preamble=BARCODE_PREAMBLE, empty_ok=True)
+    cap, table = _read_table(path, "barcode", BARCODE_HEADER, preamble=BARCODE_PREAMBLE)
     try:
         cap = float(cap)
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
-    if not cap > 0:  # also false for nan
-        raise InputError(f"{path}:1: max_filtration must be positive, got {cap}")
+    if not 0 < cap < math.inf:  # also false for nan
+        raise InputError(f"{path}:1: max_filtration must be positive and finite, got {cap}")
     pairs = []
     for lineno, (dim, birth, death) in table:
         try:
@@ -236,6 +238,10 @@ def read_barcode(path: str | Path) -> Barcode:
         if not 0 <= birth <= death:  # also true when either is NaN
             raise InputError(f"{path}:{lineno}: death {death} and birth {birth} make an "
                              "invalid persistence pair; need 0 <= birth <= death")
+        # the engine enters no simplex above the cap and writes an open bar as inf
+        if birth > cap or cap < death < math.inf:
+            raise InputError(f"{path}:{lineno}: birth {birth} or death {death} lies above "
+                             f"max_filtration {cap}")
         pairs.append(PersistencePair(dim, birth, death))
     return Barcode(tuple(pairs), cap)
 

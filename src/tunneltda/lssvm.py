@@ -141,16 +141,17 @@ def _solve(ts: TrainingSet, gamma: float, kernel: KernelSpec) -> tuple[float, np
     if ts.targets.ndim != 1:
         raise InputError(f"training takes one target series, got shape {ts.targets.shape}")
     A, rhs = _kkt_system(ts, gamma, kernel)
-    cond = _condition_number(A, _describe(gamma, kernel), "the solution")
+    where = _describe(gamma, kernel)
+    cond = _condition_number(A, where, "the solution")
     try:
         z = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"KKT system is singular: {exc}") from exc
+        raise NumericalError(f"KKT system is singular at {where}: {exc}") from exc
     residual = np.abs(A @ z - rhs).max() / max(1.0, np.abs(rhs).max())
     if not np.isfinite(z).all() or residual > KKT_RESIDUAL_TOL:
         raise NumericalError(
-            f"KKT solve failed: relative residual {residual:.3g} (condition {cond:.3g})"
-        )
+            f"KKT solve failed at {where}: relative residual {residual:.3g} "
+            f"(condition {cond:.3g})")
     return float(z[0]), z[1:]
 
 
@@ -222,8 +223,6 @@ def _loo_grid(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]) -> np.ndarr
     for gamma, _ in grid:
         if not gamma > 0:
             raise InputError(f"gamma must be positive, got {gamma}")
-    if not grid:
-        raise InputError("hyperparameter grid is empty")
     errs, residual, bound = _loo_factored(ts, grid)
     solved = residual <= KKT_RESIDUAL_TOL  # false for a non-finite solution too
     ok = solved & np.isfinite(errs).all(axis=1)
@@ -273,11 +272,9 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
     """
     m = ts.m
     X, Y = ts.inputs, ts.targets.reshape(m, -1)
-    sq = _squared_distances(X, X)
     slots: dict[KernelSpec, int] = {}
     which = np.array([slots.setdefault(kernel, len(slots)) for _, kernel in grid])
-    K = np.stack([_rbf(sq, k.sigma) if k.kind == "rbf" else gram_matrix(k, X, X)
-                  for k in slots])
+    K = np.stack([gram_matrix(k, X, X) for k in slots])
     try:
         mu, U = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:
@@ -309,22 +306,17 @@ def _loo_factored(ts: TrainingSet, grid: list[tuple[float, KernelSpec]]):
     return errs, residual, bound
 
 
-def select_hyperparameters(
-    ts: TrainingSet,
-    gamma_grid: tuple[float, ...] = GAMMA_GRID,
-    sigma_grid: tuple[float, ...] = SIGMA_GRID,
-) -> tuple[float, KernelSpec, float] | list[tuple[float, KernelSpec, float]]:
-    """Grid search for the regressor: smallest mean LOO error wins, per
-    target column.
+def select_hyperparameters(ts: TrainingSet) -> list[tuple[float, KernelSpec, float]]:
+    """Grid search for the regressor over GAMMA_GRID x SIGMA_GRID: smallest
+    mean LOO error wins, per target column.
 
     Ties keep the earlier grid entry (gamma-major, then sigma), so the
     search is deterministic. All columns share one leave-one-out search
     (_loo_grid), so k series that train on the same inputs cost one kernel
-    factorisation, not k. Returns (gamma, kernel, loo_mse) for one series,
-    and a list of one such tuple per column for (m, k) targets.
+    factorisation, not k. Returns one (gamma, kernel, loo_mse) per target
+    column, a single series being one column.
     """
-    grid = [(gamma, KernelSpec("rbf", sigma)) for gamma in gamma_grid for sigma in sigma_grid]
+    grid = [(gamma, KernelSpec("rbf", sigma)) for gamma in GAMMA_GRID for sigma in SIGMA_GRID]
     mses = _loo_grid(ts, grid).mean(axis=1).reshape(len(grid), -1)
     # argmin takes the first of equal minima
-    picks = [(*grid[g], float(mses[g, j])) for j, g in enumerate(np.argmin(mses, axis=0))]
-    return picks if ts.targets.ndim == 2 else picks[0]
+    return [(*grid[g], float(mses[g, j])) for j, g in enumerate(np.argmin(mses, axis=0))]

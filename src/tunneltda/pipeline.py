@@ -191,13 +191,19 @@ def run_feature_experiment(
     (zero coefficients, bias equal to the constant): the KKT system is
     satisfied exactly and predictions carry no solver noise. Each other
     feature's chosen (gamma, kernel) is then trained on its own. Errors name
-    the feature they come from.
+    the feature they come from. A value that is not finite, in training or
+    held out, is an InputError naming its event, as in detect_warning.
     """
     values = {k: np.asarray(column, dtype=float) for k, column in series.items()}
     lengths = {k: len(v) for k, v in values.items()}
     n = max(lengths.values(), default=0)
     if set(lengths.values()) != {n}:
         raise InputError(f"feature series must share one length, got lengths {lengths}")
+    for k, column in values.items():
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise InputError(f"feature {k}: series value at event {bad[0]} is not finite: "
+                             f"{column[bad[0]]}")
     if split < 1:
         raise InputError(f"split {split} leaves fewer than 2 training events")
     if split >= n - 1:

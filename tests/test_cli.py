@@ -57,6 +57,34 @@ def test_warn_rejects_nan_series_value(tmp_path, capsys):
     assert "event 2 is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("event, value", [(18, "nan"), (18, "inf"), (3, "-inf")])
+def test_train_predict_refuses_a_value_that_is_not_finite(tmp_path, capsys, event, value):
+    # at a held-out event NaN would be scored as an error of nan% and then
+    # fail to serialize
+    feats = tmp_path / "features.csv"
+    rows = ["event," + ",".join(f"f{i}" for i in range(1, 15))]
+    for e in range(21):
+        values = [str(21.0 - 0.1 * e)] * 14
+        if e == event:
+            values[7] = value
+        rows.append(f"{e}," + ",".join(values))
+    feats.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "r.json"
+    assert run(["train-predict", "--features", feats, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"input error: feature 8: series value at event {event} "
+                            f"is not finite: {float(value)}\n")
+    assert "predicted" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-predict", "warn"])
+def test_feature_commands_need_a_source(capsys, command):
+    assert run([command]) == 1
+    assert capsys.readouterr().err == (
+        f"input error: {command} needs --features FILE or --preset paper\n")
+
+
 def test_warn_gate_exit_code_on_fixture(capsys):
     assert run(["warn", "--preset", "paper", "--gate"]) == 3
     out = capsys.readouterr().out
@@ -152,7 +180,8 @@ def test_features_names_a_barcode_file_with_a_bad_cap(tmp_path, capsys):
             "# max_filtration=nan\ndim,birth,death\n0,0.0,inf\n")
     assert run(["features", "--barcode-dir", bc_dir, "--out", tmp_path / "f.csv"]) == 1
     err = capsys.readouterr().err
-    assert f"{bc_dir / 'barcode_000.csv'}:1: max_filtration must be positive, got nan" in err
+    assert (f"{bc_dir / 'barcode_000.csv'}:1: max_filtration must be positive and finite, "
+            "got nan") in err
     assert not (tmp_path / "f.csv").exists()
 
 

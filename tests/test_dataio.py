@@ -174,15 +174,48 @@ def test_barcode_nan_or_bad_dim_rejected(tmp_path, row, message):
     assert str(exc.value).startswith(f"{path}:3: ")
 
 
-@pytest.mark.parametrize("cap, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+@pytest.mark.parametrize("cap, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan"),
+                                        ("inf", "inf")])
 def test_barcode_cap_must_be_positive(tmp_path, cap, shown):
     # features clamp deaths to the cap, so a cap of 0 or below, or nan,
-    # would give features that measure nothing
+    # would give features that measure nothing, and an infinite one
+    # features that are not finite
     path = tmp_path / "bc.csv"
     path.write_text(f"# max_filtration={cap}\ndim,birth,death\n0,0.0,inf\n")
     with pytest.raises(InputError) as exc:
         dataio.read_barcode(path)
-    assert str(exc.value) == f"{path}:1: max_filtration must be positive, got {shown}"
+    assert str(exc.value) == f"{path}:1: max_filtration must be positive and finite, got {shown}"
+
+
+@pytest.mark.parametrize("cap, row", [
+    ("1e-300", "1,0.0,5.0"),  # features would clamp the bar to f8 = 1e-300
+    ("5.0", "1,6.0,inf"),
+    ("5.0", "0,0.0,5.5"),
+])
+def test_barcode_bar_above_the_cap_rejected(tmp_path, cap, row):
+    path = tmp_path / "bc.csv"
+    path.write_text(f"# max_filtration={cap}\ndim,birth,death\n0,0.0,inf\n{row}\n")
+    birth, death = (float(v) for v in row.split(",")[1:])
+    with pytest.raises(InputError) as exc:
+        dataio.read_barcode(path)
+    assert str(exc.value) == (f"{path}:4: birth {birth} or death {death} lies above "
+                              f"max_filtration {float(cap)}")
+
+
+def test_barcode_bar_at_the_cap_accepted(tmp_path):
+    path = tmp_path / "bc.csv"
+    path.write_text("# max_filtration=5.0\ndim,birth,death\n0,0.0,inf\n1,5.0,inf\n0,0.0,5.0\n")
+    assert len(dataio.read_barcode(path)) == 3
+
+
+def test_barcode_without_bars_rejected(tmp_path):
+    # every cloud has one component that never dies, so the engine writes
+    # at least one bar
+    path = tmp_path / "bc.csv"
+    path.write_text("# max_filtration=5.0\ndim,birth,death\n\n")
+    with pytest.raises(InputError) as exc:
+        dataio.read_barcode(path)
+    assert str(exc.value) == f"{path}: no data rows"
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +274,6 @@ def test_features_blank_lines_are_not_events(tmp_path):
 # bit, so -0.0 stays negative) and identical bytes the second time
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-non_negative = st.one_of(st.just(-0.0), st.floats(0.0, 1e300))
 block_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=8)
 
 
@@ -276,23 +308,28 @@ def test_snapshot_codec_round_trip(codec_dir, rows):
 
 
 @st.composite
-def pairs(draw):
-    birth = draw(non_negative)
-    death = draw(st.one_of(st.just(math.inf), st.just(birth),
-                           st.floats(0.0, 1e300).map(lambda length: birth + length)))
-    return PersistencePair(draw(st.sampled_from((0, 1))), birth, death)
+def barcodes(draw):
+    """Barcodes that read_barcode accepts, as the engine writes them: a
+    positive, finite cap, at least one bar, and no birth or finite death
+    above the cap."""
+    cap = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    bars = []
+    for _ in range(draw(st.integers(1, 20))):
+        birth = draw(st.one_of(st.just(-0.0), st.floats(0.0, cap)))
+        death = draw(st.one_of(st.just(math.inf), st.just(birth), st.floats(birth, cap)))
+        bars.append(PersistencePair(draw(st.sampled_from((0, 1))), birth, death))
+    return Barcode(tuple(bars), cap)
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(pairs(), max_size=20), st.one_of(st.just(math.inf), st.floats(1e-3, 1e6)))
-def test_barcode_codec_round_trip(codec_dir, bars, cap):
-    barcode = Barcode(tuple(bars), cap)
+@given(barcodes())
+def test_barcode_codec_round_trip(codec_dir, barcode):
     back, same_bytes = round_trip(dataio.write_barcode, dataio.read_barcode,
                                   barcode, codec_dir / "barcode.csv")
     assert [p.dim for p in back.pairs] == [p.dim for p in barcode.pairs]
     assert exact(v for p in back.pairs for v in p[1:]) == \
         exact(v for p in barcode.pairs for v in p[1:])
-    assert repr(back.max_filtration) == repr(float(cap))
+    assert repr(back.max_filtration) == repr(barcode.max_filtration)
     assert same_bytes
 
 

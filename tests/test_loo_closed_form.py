@@ -43,6 +43,14 @@ def training_set(values) -> TrainingSet:
     return TrainingSet(standardized(np.arange(len(values))), values)
 
 
+def select_on_grid(ts, gamma_grid, sigma_grid):
+    """select_hyperparameters with GAMMA_GRID and SIGMA_GRID replaced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lssvm, "GAMMA_GRID", gamma_grid)
+        mp.setattr(lssvm, "SIGMA_GRID", sigma_grid)
+        return select_hyperparameters(ts)
+
+
 def assert_matches_reference(ts, grid, atol_scale=0.0):
     """Closed form == retrain loop at every grid point, within 1e-8 relative.
 
@@ -62,7 +70,7 @@ def assert_matches_reference(ts, grid, atol_scale=0.0):
 
 
 def assert_same_selection(ts):
-    gamma, kernel, mse = select_hyperparameters(ts)
+    [(gamma, kernel, mse)] = select_hyperparameters(ts)
     ref_gamma, ref_kernel, ref_mse = reference_loo.select_hyperparameters(ts)
     assert (gamma, kernel) == (ref_gamma, ref_kernel)
     assert mse == pytest.approx(ref_mse, rel=1e-8)
@@ -208,7 +216,7 @@ def test_selection_on_near_tied_grid_means(spec, sigma, nudge):
     grid = [(g, KernelSpec("rbf", s)) for g in gamma_grid for s in sigma_grid]
     assert_matches_reference(ts, grid, atol_scale=1.0)
     ref_means = np.array([reference_loo.loo_squared_errors(ts, g, k).mean() for g, k in grid])
-    gamma, kernel, _ = select_hyperparameters(ts, gamma_grid, sigma_grid)
+    [(gamma, kernel, _)] = select_on_grid(ts, gamma_grid, sigma_grid)
     chosen = grid.index((gamma, kernel))
     best = int(np.argmin(ref_means))
     others = np.delete(ref_means, best)
@@ -243,7 +251,7 @@ def test_exact_tie_keeps_earlier_grid_entry(monkeypatch):
     for case, row_means in means.items():
         errors = np.repeat(np.array(row_means)[:, None], ts.m, axis=1)
         monkeypatch.setattr(lssvm, "_loo_grid", lambda ts, grid, errors=errors: errors)
-        gamma, kernel, mse = select_hyperparameters(ts, (1.0, 10.0), (0.5, 2.0))
+        [(gamma, kernel, mse)] = select_on_grid(ts, (1.0, 10.0), (0.5, 2.0))
         assert (gamma, kernel.sigma) == expected[case]
         assert mse == min(row_means)
 
@@ -257,7 +265,7 @@ DUPLICATES = TrainingSet(np.array([[0.0], [1.0], [1.0], [2.0]]),
 @pytest.mark.parametrize("search", [
     lambda ts: loo_squared_errors(ts, 1e15, KernelSpec("rbf", 1.0)),
     lambda ts: loo_squared_errors(ts, 1e15, KernelSpec("linear")),
-    lambda ts: select_hyperparameters(ts, (1.0, 1e15), (1.0,)),
+    lambda ts: select_on_grid(ts, (1.0, 1e15), (1.0,))[0],
 ], ids=["loo-rbf", "loo-linear", "select"])
 def test_near_duplicates_with_huge_gamma_report_ill_conditioning(search):
     with pytest.warns(ConditioningWarning):
@@ -272,7 +280,7 @@ def test_near_duplicates_with_huge_gamma_report_ill_conditioning(search):
 @pytest.mark.parametrize("search", [
     lambda ts: loo_squared_errors(ts, 1e300, KernelSpec("rbf", 1.0)),
     lambda ts: loo_squared_errors(ts, 1e300, KernelSpec("linear")),
-    lambda ts: select_hyperparameters(ts, (10.0, 1e300), (0.5, 1.0)),
+    lambda ts: select_on_grid(ts, (10.0, 1e300), (0.5, 1.0)),
 ], ids=["loo-rbf", "loo-linear", "select"])
 def test_failed_solve_raises_numerical_error_not_nan(search):
     # Duplicate inputs with different targets and 1/gamma below rounding:
@@ -285,15 +293,9 @@ def test_failed_solve_raises_numerical_error_not_nan(search):
 def test_grid_gamma_must_be_positive(bad):
     ts = training_set(np.arange(16.0) ** 2)
     with pytest.raises(InputError, match="gamma must be positive"):
-        select_hyperparameters(ts, (1.0, bad), (1.0,))
+        select_on_grid(ts, (1.0, bad), (1.0,))
     with pytest.raises(InputError, match="gamma must be positive"):
         loo_squared_errors(ts, bad, KernelSpec("rbf", 1.0))
-
-
-def test_empty_grid_is_input_error():
-    ts = training_set(np.arange(16.0) ** 2)
-    with pytest.raises(InputError, match="empty"):
-        select_hyperparameters(ts, (), (1.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def test_constant_column_takes_flat_model_outside_the_search(monkeypatch):
     assert predictors[13].model.bias == 42.0
     assert set(reports[13].predictions.values()) == {42.0}
     for k in (2, 8):
-        gamma, kernel, _ = select_hyperparameters(training_set(series[k]))
+        [(gamma, kernel, _)] = select_hyperparameters(training_set(series[k]))
         assert (predictors[k].model.gamma, predictors[k].model.kernel) == (gamma, kernel)
 
 

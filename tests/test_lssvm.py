@@ -152,6 +152,19 @@ def test_training_warning_names_its_point_and_matches_the_search():
     assert numbers[0] == numbers[1]
 
 
+@pytest.mark.parametrize("inputs, gamma, kernel, message", [
+    ([1.0, 1.0 + 1e-9, 2.0], 1e15, LINEAR, "KKT solve failed at gamma=1e+15, linear kernel: "),
+    ([0.0, 1.0, 1.0, 2.0], 1e300, KernelSpec("rbf", 1.0),
+     "KKT system is singular at gamma=1e+300, rbf kernel sigma=1: "),
+], ids=["residual", "singular"])
+def test_training_failure_names_its_point(inputs, gamma, kernel, message):
+    # in the wording of the search's NumericalError at the same point
+    ts = TrainingSet(np.array(inputs)[:, None], np.arange(len(inputs), dtype=float))
+    with pytest.warns(ConditioningWarning), pytest.raises(NumericalError) as exc:
+        train_regressor(ts, gamma, kernel)
+    assert str(exc.value).startswith(message)
+
+
 def test_classifier_rejects_non_binary_targets():
     ts = TrainingSet(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
     with pytest.raises(InputError):

@@ -46,6 +46,12 @@ def test_warning_rejects_non_finite(series, threshold):
         detect_warning(series, threshold=threshold)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -1.0, float("nan")])
+def test_warning_rapid_change_ratio_must_be_positive(ratio):
+    with pytest.raises(InputError, match=f"rapid-change ratio must be positive, got {ratio}"):
+        detect_warning(table6_f8(), rapid_change_ratio=ratio)
+
+
 def test_warning_constant_series_never_triggers():
     report = detect_warning([42.0] * 21)
     assert not report.triggered
@@ -141,6 +147,28 @@ def test_trend_guard_applies_only_to_monotone_series():
     wiggly = np.array([3.0, 4.0, 2.0, 5.0, 3.5, 4.2, 2.8, 4.9, 3.1, 4.4, 2.6, 4.7])
     report = run_feature_experiment({14: wiggly}, {14: {}}, split=8)[0][14]
     assert not report.trend_guard_applied
+
+
+def test_trend_guard_keeps_a_rising_series_rising():
+    # forecasts are clamped to at least the last training value, then made
+    # non-decreasing by a running max
+    preds, guarded = pipeline._apply_trend_guard(np.array([1.0, 2.0, 3.0]),
+                                                 np.array([2.5, 4.0, 3.5, 5.0]))
+    assert guarded
+    assert preds.tolist() == [3.0, 4.0, 4.0, 5.0]
+
+    up = np.linspace(4.0, 10.0, 12)
+    report = run_feature_experiment({2: up}, {2: {}}, split=8)[0][2]
+    assert report.trend_guard_applied
+    preds = [report.predictions[e] for e in sorted(report.predictions)]
+    assert all(a <= b for a, b in zip(preds, preds[1:]))
+    assert preds[0] >= up[8]
+
+
+@pytest.mark.parametrize("split", [0, -1])
+def test_experiment_needs_two_training_events(split):
+    with pytest.raises(InputError, match=f"split {split} leaves fewer than 2 training events"):
+        run_feature_experiment({8: table6_f8()}, {8: None}, split=split)
 
 
 def test_experiment_requires_test_events():
