@@ -142,13 +142,10 @@ class SnapshotSequence:
     def __post_init__(self):
         if len(self.events) != len(self.clouds) or not self.events:
             raise InputError("sequence needs one cloud per event")
-        expected = tuple(range(len(self.events)))
-        if self.events != expected:
-            missing = sorted(set(expected) - set(self.events))
-            raise InputError(
-                f"event indices must run 0..{len(self.events) - 1} without gaps; "
-                f"missing {missing or list(self.events)}"
-            )
+        if self.events != tuple(range(len(self.events))):
+            i = next(i for i, event in enumerate(self.events) if event != i)
+            raise InputError(f"event indices must run 0..{len(self.events) - 1} in order; "
+                             f"entry {i} has event {self.events[i]}")
         base = set(self.clouds[0].ids)
         for event, cloud in zip(self.events, self.clouds):
             if set(cloud.ids) != base:
@@ -190,7 +187,7 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{manifest_path}: manifest needs a non-empty 'snapshots' list")
     events, clouds = [], []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         try:
             event, rel = entry["event"], entry["path"]
         except (KeyError, TypeError):
@@ -199,6 +196,9 @@ def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
         if type(event) is not int or not isinstance(rel, str):
             raise InputError(f"{manifest_path}: each snapshot entry needs an integer "
                              f"'event' and a string 'path', got {entry!r}")
+        if event != i:
+            raise InputError(f"{manifest_path}: snapshot entry {i} ({rel}) has event {event}; "
+                             "entries must list events 0, 1, 2, ... in order")
         events.append(event)
         clouds.append(load_snapshot(manifest_path.parent / rel))
     return SnapshotSequence(tuple(events), tuple(clouds))

@@ -22,7 +22,7 @@ import numpy as np
 from . import dataio, features, lssvm
 from .dataio import SnapshotSequence
 from .errors import InputError, NumericalError
-from .topology import Barcode, DEFAULT_MAX_FILTRATION, barcode_from_cloud
+from .topology import Barcode, DEFAULT_MAX_FILTRATION, barcode_from_cloud, check_max_filtration
 
 DEFAULT_THRESHOLD = 21.68
 DEFAULT_RAPID_RATIO = 10.0
@@ -173,6 +173,14 @@ class ExperimentReport:
         }
 
 
+def _check_split(split: int, n: int) -> None:
+    """Refuse a split that leaves fewer than 2 of n events to train on, or none to test."""
+    if split < 1:
+        raise InputError(f"split {split} leaves fewer than 2 training events")
+    if split >= n - 1:
+        raise InputError(f"split {split} leaves no test events")
+
+
 def run_feature_experiment(
     series: dict[int, np.ndarray], truth: dict[int, dict[int, float] | None],
     split: int = DEFAULT_SPLIT,
@@ -204,10 +212,7 @@ def run_feature_experiment(
         if bad.size:
             raise InputError(f"feature {k}: series value at event {bad[0]} is not finite: "
                              f"{column[bad[0]]}")
-    if split < 1:
-        raise InputError(f"split {split} leaves fewer than 2 training events")
-    if split >= n - 1:
-        raise InputError(f"split {split} leaves no test events")
+    _check_split(split, n)
     # events 0..split with split >= 1 have a nonzero spread
     train_events = np.arange(split + 1, dtype=float)
     test_events = np.arange(split + 1, n)
@@ -362,13 +367,21 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
     Returns a manifest of what was written and the warning report.
     """
     out_dir = Path(out_dir)
+    # the arguments are checked before any barcode is computed or file written
+    if seq is None:
+        series, truth = paper_source()
+        n_events = len(series[8])
+    else:
+        with _prefixed("[compute-ph] "):
+            check_max_filtration(max_filtration)
+        n_events = len(seq)
+    with _prefixed("[train-predict] "):
+        _check_split(split, n_events)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
 
-    if seq is None:
-        series, truth = paper_source()
-        model_dir = None
-    else:
+    model_dir = None
+    if seq is not None:
         with _prefixed("[compute-ph] "):
             vectors, _ = write_barcode_stage(seq, max_filtration, out_dir / "barcodes",
                                              out_dir / "summary.csv")

@@ -230,6 +230,12 @@ def compute_distance_matrix(pc: PointCloud) -> DistanceMatrix:
     return DistanceMatrix(d)
 
 
+def check_max_filtration(max_filtration: float) -> None:
+    """Refuse a cap that is not positive and finite."""
+    if not 0 < max_filtration < math.inf:  # also false for nan
+        raise InputError(f"max_filtration must be positive and finite, got {max_filtration}")
+
+
 def build_vr_filtration(
     dm: DistanceMatrix,
     max_filtration: float = DEFAULT_MAX_FILTRATION,
@@ -259,8 +265,7 @@ def build_vr_filtration(
     follows at about 63, the filtration's own arrays included, so the limit
     keeps both under about 1 GiB; 2 GiB would be passed near 34M.
     """
-    if not 0 < max_filtration < math.inf:
-        raise InputError(f"max_filtration must be positive and finite, got {max_filtration}")
+    check_max_filtration(max_filtration)
     d, n = dm.d, dm.n
     # np.nonzero lists the edges in (i, j) order. The upper neighbours of v
     # are then j[start[v]:start[v + 1]], each at the (i, j) position of edge
@@ -349,16 +354,18 @@ def compute_persistence(f: Filtration) -> Barcode:
     pair: its column is already reduced and is read from the coboundary,
     never stored. A column whose earliest coface has no owner is paired at
     once. The others are reduced on one reused bool working column of
-    n_tris + 1 entries, whose last entry, a sentinel, is always True.
-    Adding an owner's column flips its rows, ``col[rows] = ~col[rows]``,
-    which acts once per distinct index, so every stored column must be
-    sorted and duplicate-free. The pivot only grows, so the next one is the
-    first True entry at or after it: argmax on bools stops there, and on a
-    column reduced to zero it stops at the sentinel, n_tris, which no
-    column owns. The rows lie in [pivot, hi], hi being the largest row the
-    column has touched, so a column that received additions and found a
-    pivot is stored as the True entries of that window, which are then
-    cleared. A column reduced to zero, or an edge with no coface, is a
+    n_tris + 1 entries, whose last entry, a sentinel, is always True. The
+    pivot only grows, so the next one is the first True entry at or after
+    it: argmax on bools stops there, and on a column reduced to zero it
+    stops at the sentinel, n_tris, which no column owns (pivot_owner holds
+    -1 there and at every triangle not yet paired). A column that received
+    additions and found a pivot keeps the list of coboundary slices it
+    summed, views into cofaces, rather than its rows: Ripser's reduction
+    matrix V instead of R. Adding an owner flips each slice of its list,
+    ``col[rows] = ~col[rows]``; a slice holds distinct rows, so the flips
+    sum the owner's reduced column over Z2. Every True row lies at or after
+    the pivot, so one slice assignment clears the working column. A
+    column reduced to zero, or an edge with no coface, is a
     class still open at the cap and gets infinite death.
 
     The pairing equals that of the standard boundary reduction in (value,
@@ -374,7 +381,7 @@ def compute_persistence(f: Filtration) -> Barcode:
     parent = list(range(n))
     forest = []
     components = n
-    for e, (a, b) in enumerate(edges.tolist()):
+    for e, (a, b) in enumerate(zip(edges[:, 0].tolist(), edges[:, 1].tolist())):
         # a and b walk up to their roots, halving the paths they pass
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
@@ -412,8 +419,9 @@ def compute_persistence(f: Filtration) -> Barcode:
 
     # An apparent pair's triangle enters with its latest facet, the edge
     # itself, so its bar has zero length and is not reported.
-    pivot_owner = dict(zip(apparent_tris.tolist(), apparent_edges.tolist()))
-    reduced: dict[int, np.ndarray] = {}
+    pivot_owner = np.full(n_tris + 1, -1, dtype=np.intp)
+    pivot_owner[apparent_tris] = apparent_edges
+    records: dict[int, list[np.ndarray]] = {}  # the coboundaries each column summed
     col = np.zeros(n_tris + 1, dtype=bool)
     col[n_tris] = True
     todo = np.ones(m, dtype=bool)
@@ -421,25 +429,21 @@ def compute_persistence(f: Filtration) -> Barcode:
     todo[apparent_edges] = False
     todo = np.flatnonzero(todo)[::-1]
     for e, pivot in zip(todo.tolist(), earliest[todo].tolist()):
-        owner = pivot_owner.get(pivot)
-        if owner is not None:
-            rows = cofaces[start[e]:start[e + 1]]
-            col[rows] = True
-            hi = int(rows[-1])
-            while owner is not None:
-                rows = reduced.get(owner)
-                if rows is None:
-                    rows = cofaces[start[owner]:start[owner + 1]]
-                col[rows] = ~col[rows]
-                last = int(rows[-1])
-                if last > hi:
-                    hi = last
+        owner = pivot_owner.item(pivot)
+        if owner >= 0:
+            record = [cofaces[start[e]:start[e + 1]]]
+            col[record[0]] = True
+            while owner >= 0:
+                # an owner that received no addition is its own coboundary
+                added = records.get(owner) or [cofaces[start[owner]:start[owner + 1]]]
+                for rows in added:
+                    col[rows] = ~col[rows]
+                record += added
                 pivot += int(col[pivot:].argmax())
-                owner = pivot_owner.get(pivot)
+                owner = pivot_owner.item(pivot)
             if pivot < n_tris:
-                rows = pivot + col[pivot:hi + 1].nonzero()[0]
-                col[rows] = False
-                reduced[e] = rows
+                col[pivot:n_tris] = False
+                records[e] = record
         birth = float(edge_values[e])
         if pivot < n_tris:
             pivot_owner[pivot] = e

@@ -289,6 +289,22 @@ def test_run_all_manifest_with_seed_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("split, message", [
+    (0, "split 0 leaves fewer than 2 training events"),
+    (3, "split 3 leaves no test events"),
+])
+def test_run_all_checks_split_before_writing(tmp_path, capsys, monkeypatch, split, message):
+    data = tmp_path / "data"
+    run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", 3,
+         "--ring-radius", 6, "--out-dir", data])
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "compute_barcodes", None)  # no barcode may be computed
+    assert run(["run-all", "--manifest", data / "manifest.json", "--split", split,
+                "--out-dir", tmp_path / "bundle"]) == 1
+    assert capsys.readouterr().err == f"input error: [train-predict] {message}\n"
+    assert not (tmp_path / "bundle").exists()
+
+
 @pytest.mark.parametrize("command", ["compute-ph", "run-all"])
 def test_infinite_cap_is_input_error(tmp_path, capsys, command):
     data = tmp_path / "data"

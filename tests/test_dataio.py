@@ -105,8 +105,33 @@ def test_empty_manifest_rejected(tmp_path):
 
 def test_sequence_gap_detected(tmp_path):
     manifest = write_test_sequence(tmp_path, 5, drop_event=3)
-    with pytest.raises(InputError, match="missing \\[3\\]"):
+    with pytest.raises(InputError, match=r"entry 3 \(s4.csv\) has event 4;"):
         dataio.load_sequence(manifest)
+
+
+def reorder_manifest(manifest, events):
+    """Rewrite the manifest's entries to list the given events, in that order."""
+    doc = json.loads(manifest.read_text())
+    paths = {entry["event"]: entry["path"] for entry in doc["snapshots"]}
+    doc["snapshots"] = [{"event": e, "path": paths[e]} for e in events]
+    manifest.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("events, at, event", [
+    ([1, 0] + list(range(2, 21)), 0, 1),  # two entries swapped
+    (list(range(21)) + [20], 21, 20),     # the last event repeated
+])
+def test_sequence_names_the_first_entry_out_of_place(tmp_path, events, at, event):
+    # a list of what is "missing" would read [1, 0, 2, ..., 20] and [21]
+    manifest = write_test_sequence(tmp_path, 21)
+    reorder_manifest(manifest, events)
+    with pytest.raises(InputError) as exc:
+        dataio.load_sequence(manifest)
+    assert str(exc.value) == (f"{manifest}: snapshot entry {at} (s{event}.csv) has event {event}; "
+                              "entries must list events 0, 1, 2, ... in order")
+    clouds = (make_cloud([(0, 0)]),) * len(events)
+    with pytest.raises(InputError, match=f"entry {at} has event {event}$"):
+        dataio.SnapshotSequence(tuple(events), clouds)
 
 
 def test_sequence_id_mismatch_names_event(tmp_path):

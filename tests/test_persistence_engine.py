@@ -8,6 +8,7 @@ checked array for array against tests/reference_filtration.py on the same
 clouds and on degenerate ones.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
-from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, build_vr_filtration,
-                                compute_distance_matrix, compute_persistence)
+from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, PersistencePair,
+                                build_vr_filtration, compute_distance_matrix,
+                                compute_persistence)
 
 from conftest import make_cloud
 from oracle import rank_function_barcode
@@ -106,6 +108,53 @@ def test_engine_matches_oracle_on_tied_clouds(spec):
     f = tied_filtration(spec)
     got = [tuple(p) for p in compute_persistence(f).pairs]
     assert got == rank_function_barcode(f)
+
+
+def test_engine_adds_an_owners_stored_reduction():
+    # One column here meets an owner that received additions itself; adding
+    # that owner's coboundary alone, instead of every coboundary it summed,
+    # gives another barcode.
+    cloud = make_cloud([(0, 0.5), (0, 1.5), (1, 0), (1, 2), (1.5, 1), (1.5, 1.5), (2, 0)])
+    f = build_vr_filtration(compute_distance_matrix(cloud), 3.0)
+    assert_engine_matches_reference(f)
+    b = compute_persistence(f)
+    assert [tuple(p) for p in b.pairs] == rank_function_barcode(f)
+    assert b.in_dim(1) == (PersistencePair(1, math.sqrt(1.25), math.sqrt(2.5)),)
+
+
+def prim_mst_lengths(xy):
+    """Edge lengths of a Euclidean minimum spanning tree by Prim's algorithm,
+    ascending; each length is rounded as the distance matrix rounds it."""
+    def dist(i, j):
+        dx, dy = xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]
+        return math.sqrt(dx * dx + dy * dy)
+
+    best = {v: dist(0, v) for v in range(1, len(xy))}
+    lengths = []
+    while best:
+        v = min(best, key=best.get)
+        lengths.append(best.pop(v))
+        for u in best:
+            best[u] = min(best[u], dist(v, u))
+    return sorted(lengths)
+
+
+@pytest.mark.parametrize("clouds, cap", [
+    (generate_sequence(ScenarioConfig(seed=0)).clouds, 30.0),
+    (generate_sequence(ScenarioConfig(seed=7)).clouds, 30.0),
+    (generate_sequence(ScenarioConfig(seed=1009)).clouds, 30.0),
+    ((tied_grid_cloud(),), 1.0),
+    ((tied_grid_cloud(),), 0.25),  # grid neighbours only: some tree edges lie above the cap
+], ids=["ring-seed0", "ring-seed7", "ring-seed1009", "tied-grid", "tied-grid-cap-0.25"])
+def test_dim0_deaths_are_the_mst_edge_lengths(clouds, cap):
+    for cloud in clouds:
+        mst = prim_mst_lengths(cloud.xy.tolist())
+        f = build_vr_filtration(compute_distance_matrix(cloud), cap)
+        h0 = compute_persistence(f).in_dim(0)
+        assert all(p.birth == 0.0 for p in h0)
+        assert sorted(p.death for p in h0 if p.death != math.inf) == [
+            w for w in mst if 0.0 < w <= cap]
+        assert sum(p.death == math.inf for p in h0) == 1 + sum(w > cap for w in mst)
 
 
 # ---------------------------------------------------------------------------
