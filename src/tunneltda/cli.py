@@ -164,7 +164,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run_all(args) -> int:
-    _reject_with_preset(args, "manifest", "seed")
+    _reject_with_preset(args, "manifest", "seed", "max_filtration")
     if args.manifest is not None and args.seed is not None:
         raise InputError("--manifest cannot be combined with --seed")
     if args.preset == "paper":
@@ -174,8 +174,9 @@ def _cmd_run_all(args) -> int:
     else:
         cfg = synth.ScenarioConfig() if args.seed is None else synth.ScenarioConfig(seed=args.seed)
         seq = synth.generate_sequence(cfg)
+    cap = DEFAULT_MAX_FILTRATION if args.max_filtration is None else args.max_filtration
     written, warning = pipeline.run_all(
-        seq, args.out_dir, max_filtration=args.max_filtration, split=args.split,
+        seq, args.out_dir, max_filtration=cap, split=args.split,
         threshold=args.threshold, rapid_change_ratio=args.rapid_ratio)
     for key, path in written.items():
         print(f"{key}: {path}")
@@ -241,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int,
                    help="seed for the synthetic scenario, used when neither --manifest "
                         f"nor --preset is given (default {synth.ScenarioConfig.seed})")
-    p.add_argument("--max-filtration", type=float, default=DEFAULT_MAX_FILTRATION)
+    p.add_argument("--max-filtration", type=float,
+                   help=f"filtration cap for the snapshots; not with --preset "
+                        f"(default {DEFAULT_MAX_FILTRATION:g})")
     p.add_argument("--split", type=int, default=pipeline.DEFAULT_SPLIT)
     p.add_argument("--threshold", type=float, default=pipeline.DEFAULT_THRESHOLD)
     p.add_argument("--rapid-ratio", type=float, default=pipeline.DEFAULT_RAPID_RATIO)

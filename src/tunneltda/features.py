@@ -75,6 +75,15 @@ def _mean(values: list[float]) -> float:
     return float(np.mean(values)) if values else 0.0
 
 
+def _sum(values: list[float]) -> float:
+    """Sum strictly left to right. Builtin sum() compensates its rounding
+    since Python 3.12, so it would give other last bits there."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def extract_features(b: Barcode) -> FeatureVector:
     """Compute the 14 features of one barcode at its own cap.
 
@@ -89,13 +98,13 @@ def extract_features(b: Barcode) -> FeatureVector:
     h0_lengths = sorted((death - birth for birth, death in h0), reverse=True)
     h1_lengths = [death - birth for birth, death in h1]
 
-    f1 = float(sum(h0_lengths))
-    f2 = float(sum(h1_lengths))
+    f1 = _sum(h0_lengths)
+    f2 = _sum(h1_lengths)
     f3 = h0_lengths[1] if len(h0_lengths) > 1 else 0.0
     f4 = h0_lengths[2] if len(h0_lengths) > 2 else 0.0
 
     interior = [death - birth for birth, death in h0 if death < cap]
-    f5 = float(sum(interior))
+    f5 = _sum(interior)
     f6 = _mean(interior)
 
     if h1:
@@ -112,7 +121,7 @@ def extract_features(b: Barcode) -> FeatureVector:
 
     # a clamped death reaches the cap exactly when the death does
     censored = [cap - birth for birth, death in h1 if death >= cap]
-    f11 = float(sum(censored))
+    f11 = _sum(censored)
     f12 = _mean(censored)
 
     return FeatureVector(

@@ -146,6 +146,11 @@ class Filtration:
     filtration as FiltSimplex objects in (value, dim, vertices) order, built
     on first access. Both stay for the brute-force oracle, the reference
     reduction and the benchmark tracer; the engine reads neither.
+
+    ``cofaces``, when given, is the triangles on each edge as (rows, start,
+    group): those of edge e are rows[start[g]:start[g + 1]] for g = group[e],
+    in no particular order. build_vr_filtration gives it for an edge set it
+    has seen before; otherwise compute_persistence groups the facets itself.
     """
 
     n_vertices: int
@@ -154,9 +159,11 @@ class Filtration:
     facets: np.ndarray
     triangle_values: np.ndarray
     max_filtration: float
+    cofaces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        for a in (self.edges, self.edge_values, self.facets, self.triangle_values):
+        for a in (self.edges, self.edge_values, self.facets, self.triangle_values,
+                  *(self.cofaces or ())):
             a.setflags(write=False)
 
     @cached_property
@@ -249,29 +256,125 @@ def build_vr_filtration(
 
     Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
     k > j of j, as a candidate that is kept when (i, k) is an edge too. The
-    enumeration yields each triangle's facets (ab, ac, bc) as edge indices
-    in filtration order, which is what the Filtration stores: ab and bc from
-    the positions of (i, j) and (j, k), ac from an n x n table of edge
-    indices. Triangles are ordered by the dense rank of their longest
-    edge's value, held in the smallest unsigned type, so the only float
-    sort is that of the edges and the triangle sort is a radix sort while
-    ranks fit 16 bits.
+    enumeration yields each triangle's facets (ab, ac, bc) as positions in
+    the (i, j) order of the edges: ab and bc from the positions of (i, j)
+    and (j, k), ac from an n x n table of edge positions. These triples, in
+    candidate order, are the edge set's skeleton: which triangles there are
+    depends only on the edges, not on their lengths. Ordering the skeleton
+    by the distances gives the Filtration's facets: triangles are ordered by
+    the dense rank of their longest edge's value, held in the smallest
+    unsigned type, so the only float sort is that of the edges and the
+    triangle sort is a radix sort while ranks fit 16 bits.
+
+    The module keeps one entry for the last edge set, keyed by n and the
+    flat ids i * n + j of its edges. A new edge set drops the entry before
+    it enumerates and keeps only its key. When the next build repeats it
+    (every snapshot of a ring that the cap covers), the entry takes the
+    skeleton and its coface grouping, built once; later repeats skip the
+    enumeration. Each repeat hands compute_persistence the grouping
+    relabelled into its own triangle order (Filtration.cofaces), so the
+    reduction sorts no facets.
 
     The cap must be positive and finite. The candidates are counted before
     any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M)
     raise InputError. With a cap covering the cloud every candidate is a
-    triangle. Measured with tracemalloc at covering caps (n = 150 and 250),
-    the build peaks at about 33 bytes per triangle and the reduction that
-    follows at about 63, the filtration's own arrays included, so the limit
-    keeps both under about 1 GiB; 2 GiB would be passed near 34M.
+    triangle. Measured with tracemalloc at covering caps, the filtration's
+    own arrays and the kept entry included: at n = 150 and 250 a new edge
+    set peaks at about 33 bytes per triangle in the build and 63 in the
+    reduction that follows, and a repeat at about 55 and 49, of which the
+    entry holds 18 (the skeleton 6, the grouping 12). At the limit (n = 466,
+    16.76M triangles, 32-bit ids) a new edge set peaks at 1.07 GiB, in the
+    reduction, and a repeat at 0.96 GiB, the entry holding 24 bytes per
+    triangle; 2 GiB would be passed near 31M.
     """
+    global _last_edge_set
     check_max_filtration(max_filtration)
     d, n = dm.d, dm.n
-    # np.nonzero lists the edges in (i, j) order. The upper neighbours of v
-    # are then j[start[v]:start[v + 1]], each at the (i, j) position of edge
-    # (v, k).
-    i, j = np.nonzero(np.triu(d <= max_filtration, 1))
+    # The edges (i, j), i < j, in (i, j) order, and their flat ids i * n + j.
+    flat = np.flatnonzero(d <= max_filtration)
+    i, j = np.divmod(flat, n)
+    upper = i < j
+    flat = flat[upper]
+    i = i[upper]
+    j = j[upper]
+    m = len(flat)
+    id_type = np.min_scalar_type(m)
+    entry = _last_edge_set
+    if entry is None or entry[0] != n or not np.array_equal(entry[1], flat):
+        _last_edge_set = None
+        skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
+        grouping = None
+        _last_edge_set = (n, flat.astype(np.min_scalar_type(n * n)), None)
+    elif entry[2] is None:
+        skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
+        rows, start = _group_cofaces(skeleton, m)
+        grouping = (rows.astype(np.min_scalar_type(len(skeleton))),
+                    start.astype(np.min_scalar_type(len(rows))))
+        del rows, start
+        for a in (skeleton, *grouping):
+            a.setflags(write=False)
+        _last_edge_set = (n, entry[1], (skeleton, grouping))
+    else:
+        skeleton, grouping = entry[2]
+    # A stable sort by value gives the (value, vertices) order; pos[p] is
+    # the filtration index of the edge at (i, j) position p.
+    edge_values = d[i, j]
+    order = np.argsort(edge_values, kind="stable")
+    values = edge_values[order]
+    pos = np.empty(m, dtype=id_type)
+    pos[order] = np.arange(m, dtype=id_type)
+    # rank[e]: 1 + the number of distinct values below that of edge e. It
+    # rises with e, so a triangle's rank is that of its latest facet.
+    new = np.ones(m, dtype=bool)
+    new[1:] = values[1:] != values[:-1]
+    rank = np.cumsum(new, dtype=id_type)
+    # Each temporary is dropped once used, to keep the peak at scale.
+    tris = _gather(pos, skeleton)
+    latest = np.maximum(np.maximum(tris[:, 0], tris[:, 1]), tris[:, 2])
+    tri_order = np.argsort(_gather(rank, latest), kind="stable")
+    n_tris = len(tri_order)
+    facets = np.take(tris, tri_order, axis=0)
+    del tris
+    tri_values = _gather(values, latest[tri_order])
+    del latest
+    cofaces = None
+    if grouping is not None:
+        # candidate c is triangle relabel[c]; edge e's group is its position
+        rows, start = grouping
+        relabel = np.empty(n_tris, dtype=rows.dtype)
+        relabel[tri_order] = np.arange(n_tris, dtype=rows.dtype)
+        del tri_order
+        cofaces = (_gather(relabel, rows), start, order)
+    return Filtration(n, np.column_stack([i, j])[order], values, facets, tri_values,
+                      float(max_filtration), cofaces)
+
+
+# The last edge set that build_vr_filtration saw: (n, flat edge ids, None
+# until it repeats, then (skeleton, coface grouping)). Read once per build and
+# replaced whole, so a build never sees a half-made entry.
+_last_edge_set: tuple | None = None
+
+
+def _gather(a: np.ndarray, index: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+    """a[index] for an index array in a small unsigned type. Indexing casts
+    such an index slowly, and np.take first copies it whole to intp; taking
+    it a chunk at a time is as fast as np.take and holds one chunk's copy.
+    The indices are in range, so mode="clip" changes nothing but lets
+    np.take write straight into out."""
+    out = np.empty(index.shape, dtype=a.dtype)
+    flat_index, flat_out = index.reshape(-1), out.reshape(-1)
+    for lo in range(0, len(flat_index), chunk):
+        np.take(a, flat_index[lo:lo + chunk], out=flat_out[lo:lo + chunk], mode="clip")
+    return out
+
+
+def _enumerate_triangles(n: int, max_filtration: float, i: np.ndarray, j: np.ndarray,
+                         flat: np.ndarray, id_type: np.dtype) -> np.ndarray:
+    """The triangles of edge set (i, j) as (t, 3) edge positions (ab, ac, bc),
+    in candidate order; InputError above MAX_TRIANGLE_CANDIDATES."""
     m = len(i)
+    # The upper neighbours of v are j[start[v]:start[v + 1]], each at the
+    # (i, j) position of edge (v, k).
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(i, minlength=n), out=start[1:])
     counts = start[j + 1] - start[j]
@@ -280,43 +383,27 @@ def build_vr_filtration(
         raise InputError(
             f"{n} blocks at max_filtration {max_filtration:g} give {candidates} triangle "
             f"candidates, above the limit of {MAX_TRIANGLE_CANDIDATES}; lower the cap")
-    # A stable sort by value gives the (value, vertices) order; pos[p] is
-    # the filtration index of the edge at (i, j) position p, and index[a, b]
-    # that of edge (a, b) plus one, 0 where (a, b) is not an edge.
-    edge_values = d[i, j]
-    order = np.argsort(edge_values, kind="stable")
-    values = edge_values[order]
-    id_type = np.min_scalar_type(m)
-    pos = np.empty(m, dtype=id_type)
-    pos[order] = np.arange(m, dtype=id_type)
+    # index[a, b]: the position of edge (a, b) plus one, 0 where (a, b) is
+    # not an edge.
     index = np.zeros((n, n), dtype=id_type)
-    index[i, j] = pos + 1
-    # rank[e]: 1 + the number of distinct values below that of edge e. It
-    # rises with e, so a triangle's rank is that of its latest facet.
-    new = np.ones(m, dtype=bool)
-    new[1:] = values[1:] != values[:-1]
-    rank = np.cumsum(new, dtype=id_type)
+    index.ravel()[flat] = np.arange(1, m + 1, dtype=id_type)
     # Candidates come in lexicographic (i, j, k) order, those of edge (i, j)
-    # together; candidate c takes edge (j, k) from (i, j) position jk[c],
-    # which fits int32 below MAX_TRIANGLE_CANDIDATES. It is a triangle when
-    # (i, k) is an edge too, and its facets are then (ab, ac, bc).
+    # together; candidate c takes edge (j, k) from position jk[c], which
+    # fits int32 below MAX_TRIANGLE_CANDIDATES. It is a triangle when (i, k)
+    # is an edge too.
     jk = np.repeat((start[j] - (np.cumsum(counts) - counts)).astype(np.int32), counts)
     jk += np.arange(candidates, dtype=np.int32)
     cell = np.repeat(n * i, counts)
     cell += j[jk]
     ac = index.ravel()[cell]
-    del cell
+    del cell, index
     hit = np.flatnonzero(ac)
-    ab, ac, bc = np.repeat(pos, counts)[hit], ac[hit], pos[jk[hit]]
-    ac -= 1
-    del jk, hit
-    latest = np.maximum(np.maximum(ab, ac), bc)
-    tri_order = np.argsort(rank[latest], kind="stable")
-    facets = np.empty((len(tri_order), 3), dtype=id_type)
-    for column, ids in enumerate((ab, ac, bc)):
-        facets[:, column] = ids[tri_order]
-    return Filtration(n, np.column_stack([i, j])[order], values, facets,
-                      values[latest[tri_order]], float(max_filtration))
+    skeleton = np.empty((len(hit), 3), dtype=id_type)
+    skeleton[:, 0] = np.repeat(np.arange(m, dtype=id_type), counts)[hit]
+    skeleton[:, 1] = ac[hit]
+    skeleton[:, 1] -= 1
+    skeleton[:, 2] = jk[hit]
+    return skeleton
 
 
 def boundary(s: FiltSimplex) -> Chain:
@@ -349,24 +436,29 @@ def compute_persistence(f: Filtration) -> Barcode:
 
     H1: the coboundaries of the remaining edges are reduced in reverse
     filtration order, each column's pivot being its earliest triangle (de
-    Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser, 2021). An edge
-    whose earliest coface has the edge as its latest facet is an apparent
-    pair: its column is already reduced and is read from the coboundary,
-    never stored. A column whose earliest coface has no owner is paired at
-    once. The others are reduced on one reused bool working column of
-    n_tris + 1 entries, whose last entry, a sentinel, is always True. The
-    pivot only grows, so the next one is the first True entry at or after
-    it: argmax on bools stops there, and on a column reduced to zero it
-    stops at the sentinel, n_tris, which no column owns (pivot_owner holds
-    -1 there and at every triangle not yet paired). A column that received
-    additions and found a pivot keeps the list of coboundary slices it
-    summed, views into cofaces, rather than its rows: Ripser's reduction
+    Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser, 2021). Each
+    edge's cofaces come from f.cofaces when the build gives them (an edge
+    set it has seen before). Otherwise a stable argsort groups the facets,
+    which lists each edge's cofaces ascending, so the earliest comes first;
+    f.cofaces lists them in no order, so the earliest of each group is its
+    minimum, from np.minimum.reduceat. An edge that is the latest facet of
+    its earliest coface is an apparent pair, found with one triangle read
+    per edge: its column is already reduced and is read from the
+    coboundary, never stored. A column whose earliest coface has no owner
+    is paired at once. The others are reduced on one reused bool working
+    column of n_tris + 1 entries, whose last entry, a sentinel, is always
+    True. The pivot only grows, so the next one is the first True entry at
+    or after it: argmax on bools stops there, and on a column reduced to
+    zero it stops at the sentinel, n_tris, which no column owns
+    (pivot_owner holds -1 there and at every triangle not yet paired). A
+    column that received additions and found a pivot keeps the list of
+    coboundary slices it summed, rather than its rows: Ripser's reduction
     matrix V instead of R. Adding an owner flips each slice of its list,
     ``col[rows] = ~col[rows]``; a slice holds distinct rows, so the flips
     sum the owner's reduced column over Z2. Every True row lies at or after
-    the pivot, so one slice assignment clears the working column. A
-    column reduced to zero, or an edge with no coface, is a
-    class still open at the cap and gets infinite death.
+    the pivot, so one slice assignment clears the working column. A column
+    reduced to zero, or an edge with no coface, is a class still open at
+    the cap and gets infinite death.
 
     The pairing equals that of the standard boundary reduction in (value,
     dim, vertices) order. Only bars with death > birth are reported: a
@@ -400,26 +492,44 @@ def compute_persistence(f: Filtration) -> Barcode:
     pairs += [PersistencePair(0, 0.0, x) for x in deaths[deaths > 0.0].tolist()]
     pairs += [PersistencePair(0, 0.0, math.inf)] * components
 
-    # The cofaces of each edge as ascending triangle indices:
-    # cofaces[start[e]:start[e + 1]]. The facets are held in the smallest
-    # unsigned type, so the stable argsort that groups them is a radix sort
-    # while they fit 16 bits.
+    # Each edge's coboundary as intp rows, which numpy indexes far faster
+    # than smaller types, and its earliest coface, n_tris for none.
     facets = f.facets
     n_tris = len(tri_values)
-    cofaces = np.argsort(facets.ravel(), kind="stable")
-    cofaces //= 3
-    start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
-    has_coface = start[1:] > start[:-1]
-    earliest = np.full(m, n_tris, dtype=np.intp)  # n_tris: no coface
-    earliest[has_coface] = cofaces[start[:-1][has_coface]]
-    latest = np.maximum(np.maximum(facets[:, 0], facets[:, 1]), facets[:, 2])
-    apparent_tris = np.flatnonzero(earliest[latest] == np.arange(n_tris))
-    apparent_edges = latest[apparent_tris]
+    if f.cofaces is None:
+        cofaces, start = _group_cofaces(facets, m)
+
+        def coboundary(e):
+            return cofaces[start[e]:start[e + 1]]
+
+        has_coface = start[1:] > start[:-1]
+        earliest = np.full(m, n_tris, dtype=np.intp)
+        earliest[has_coface] = cofaces[start[:-1][has_coface]]  # groups ascend
+    else:
+        cofaces, start, group = f.cofaces
+
+        def coboundary(e):
+            g = group[e]
+            return cofaces[start[g]:start[g + 1]].astype(np.intp)
+
+        # groups do not ascend, so a group's earliest coface is its minimum
+        has_coface = start[1:] > start[:-1]
+        earliest = np.full(len(has_coface), n_tris, dtype=np.intp)
+        if n_tris:
+            earliest[has_coface] = np.minimum.reduceat(cofaces, start[:-1][has_coface])
+        earliest = earliest[group]
+    # Edge e and its earliest coface are an apparent pair when e is that
+    # triangle's latest facet; the check reads one triangle per edge.
+    with_coface = np.flatnonzero(earliest < n_tris)
+    first = np.take(facets, earliest[with_coface], axis=0)
+    apparent_edges = with_coface[
+        np.maximum(np.maximum(first[:, 0], first[:, 1]), first[:, 2]) == with_coface]
+    apparent_tris = earliest[apparent_edges]
 
     # An apparent pair's triangle enters with its latest facet, the edge
     # itself, so its bar has zero length and is not reported.
-    pivot_owner = np.full(n_tris + 1, -1, dtype=np.intp)
+    # the smallest signed type that holds -1 (no owner) and every edge
+    pivot_owner = np.full(n_tris + 1, -1, dtype=np.min_scalar_type(-m - 1))
     pivot_owner[apparent_tris] = apparent_edges
     records: dict[int, list[np.ndarray]] = {}  # the coboundaries each column summed
     col = np.zeros(n_tris + 1, dtype=bool)
@@ -431,11 +541,11 @@ def compute_persistence(f: Filtration) -> Barcode:
     for e, pivot in zip(todo.tolist(), earliest[todo].tolist()):
         owner = pivot_owner.item(pivot)
         if owner >= 0:
-            record = [cofaces[start[e]:start[e + 1]]]
+            record = [coboundary(e)]
             col[record[0]] = True
             while owner >= 0:
                 # an owner that received no addition is its own coboundary
-                added = records.get(owner) or [cofaces[start[owner]:start[owner + 1]]]
+                added = records.get(owner) or [coboundary(owner)]
                 for rows in added:
                     col[rows] = ~col[rows]
                 record += added
@@ -454,6 +564,18 @@ def compute_persistence(f: Filtration) -> Barcode:
             pairs.append(PersistencePair(1, birth, death))
     pairs.sort()
     return Barcode(tuple(pairs), f.max_filtration)
+
+
+def _group_cofaces(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of (t, 3) facet ids that hold each of m ids: id e's are
+    rows[start[e]:start[e + 1]], ascending. The ids are in the smallest
+    unsigned type, so the stable argsort that groups them is a radix sort
+    while they fit 16 bits."""
+    rows = np.argsort(facets.ravel(), kind="stable")
+    rows //= 3
+    start = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
+    return rows, start
 
 
 def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:

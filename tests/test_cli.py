@@ -263,14 +263,16 @@ def test_compute_ph_extracts_features_once_per_event(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("command, flag", [
     ("warn", "--features"), ("train-predict", "--features"), ("run-all", "--manifest"),
-    ("run-all", "--seed"), ("loadcalc", "--radius"), ("loadcalc", "--enlargement"),
+    ("run-all", "--seed"), ("run-all", "--max-filtration"), ("loadcalc", "--radius"),
+    ("loadcalc", "--enlargement"),
 ])
 def test_preset_with_another_input_is_input_error(tmp_path, capsys, command, flag):
     # the preset would silently replace the other input, so both are refused
     if flag == "--features":
         value = write_features_file(tmp_path / "features.csv")
     else:
-        value = {"--manifest": tmp_path / "manifest.json", "--seed": 3}.get(flag, 1.6)
+        value = {"--manifest": tmp_path / "manifest.json", "--seed": 3,
+                 "--max-filtration": 5}.get(flag, 1.6)
     out = ["--out-dir", tmp_path / "bundle"] if command == "run-all" else []
     assert run([command, "--preset", "paper", flag, value] + out) == 1
     assert f"--preset paper cannot be combined with {flag}" in capsys.readouterr().err

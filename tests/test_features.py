@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,16 @@ def test_hand_computed_case():
     assert vec.f12 == 0.0
     assert vec.f13 == 3
     assert vec.f14 == 2
+
+
+def test_sums_run_left_to_right():
+    # Python 3.12's sum() compensates its rounding and would give 1 + 2^-52
+    # for f1 and f2 here; the features keep the left-to-right sum everywhere.
+    tiny = 2.0 ** -54
+    vec = extract_features(bars((0, 0.0, 1.0), *[(0, 0.0, tiny)] * 3,
+                                (1, 0.0, 1.0), *[(1, 0.25, 0.25 + tiny)] * 3, cap=10.0))
+    assert math.fsum([1.0] + [tiny] * 3) == 1.0 + 2.0 ** -52
+    assert vec.f1 == vec.f2 == 1.0
 
 
 def test_single_component_cloud():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tunneltda import topology
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
 from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, PersistencePair,
@@ -204,7 +205,11 @@ def test_filtration_matches_reference_past_8_bit_ranks():
 
 def test_triangle_limit_fails_before_allocating():
     # C(500, 3) = 20.7M triangles under a covering cap; the build would need
-    # ~1.8 GB, the refusal needs only a few edge-sized arrays
+    # ~1.8 GB, the refusal needs only a few edge-sized arrays. It drops the
+    # last edge set's entry and leaves none of its own.
+    square = compute_distance_matrix(make_cloud([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    build_vr_filtration(square, 2.0)
+    assert build_vr_filtration(square, 2.0).cofaces is not None
     rng = np.random.default_rng(5)
     dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(500, 2))))
     tracemalloc.start()
@@ -216,6 +221,131 @@ def test_triangle_limit_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+    assert topology._last_edge_set is None
+    assert build_vr_filtration(square, 2.0).cofaces is None
+
+
+# ---------------------------------------------------------------------------
+# the last edge set's entry: a repeated edge set skips the enumeration
+
+def cold_build(dm, cap):
+    """A build that finds no entry, as for an edge set never seen."""
+    topology._last_edge_set = None
+    return build_vr_filtration(dm, cap)
+
+
+def hand_built(f):
+    """The same filtration without the build's coface grouping."""
+    return Filtration(f.n_vertices, f.edges, f.edge_values, f.facets, f.triangle_values,
+                      f.max_filtration)
+
+
+def assert_same_filtration(got, want):
+    """Equal arrays and equal barcodes; the repeat's grouping lists each
+    edge's cofaces, and reducing without it gives the same barcode."""
+    for name in ("edges", "edge_values", "facets", "triangle_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    barcode = compute_persistence(got)
+    assert barcode.pairs == compute_persistence(want).pairs
+    assert barcode.pairs == compute_persistence(hand_built(got)).pairs
+    if got.cofaces is not None:
+        rows, start, group = got.cofaces
+        for e in range(len(got.edge_values)):
+            coboundary = rows[start[group[e]]:start[group[e] + 1]]
+            assert np.array_equal(np.sort(coboundary),
+                                  np.flatnonzero((got.facets == e).any(axis=1))), e
+
+
+def test_repeated_ring_edge_set_builds_as_a_cold_build():
+    # at cap 30 every snapshot of the ring has the complete edge set: the
+    # first build keeps only its key, the second enumerates again and keeps
+    # the skeleton and its coface grouping, the rest reuse both
+    clouds = generate_sequence(ScenarioConfig()).clouds
+    cold = [cold_build(compute_distance_matrix(c), 30.0) for c in clouds]
+    topology._last_edge_set = None
+    warm = [build_vr_filtration(compute_distance_matrix(c), 30.0) for c in clouds]
+    assert warm[0].cofaces is None and all(f.cofaces is not None for f in warm[1:])
+    for k in (0, 1, 2, 20):
+        assert_same_filtration(warm[k], cold[k])
+    for w, c in zip(warm, cold):
+        assert compute_persistence(w).pairs == compute_persistence(c).pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_clouds)
+def test_repeated_build_matches_cold_build_on_tied_clouds(spec):
+    cloud, cap = tied_cloud_and_cap(spec)
+    dm = compute_distance_matrix(cloud)
+    for cap in (cap, max(dm.d.max(), spec[0])):  # the drawn cap, then a covering one
+        cold = cold_build(dm, cap)
+        first_repeat, repeat = build_vr_filtration(dm, cap), build_vr_filtration(dm, cap)
+        for f in (first_repeat, repeat):
+            assert f.cofaces is not None
+            assert_same_filtration(f, cold)
+        assert_engine_matches_reference(repeat)
+
+
+def seen_twice(cloud, cap):
+    """Build cloud's filtration twice, so the entry holds its triangles."""
+    dm = compute_distance_matrix(cloud)
+    build_vr_filtration(dm, cap)
+    assert build_vr_filtration(dm, cap).cofaces is not None
+
+
+@pytest.mark.parametrize("first, then", [
+    # same n and edge count, other pairs: a triangle and a pendant edge, then
+    # a 4-cycle whose hole stays open at the cap
+    ([(0, 0), (1, 0), (0.5, 0.8), (1.9, 0)], [(0, 0), (1, 0), (1, 1), (0, 1)]),
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 0), (1, 0), (0.5, 0.8), (1.9, 0)]),
+    # the same flat ids 1, 2 and 7 at n = 4, a path, and at n = 5, a triangle
+    ([(0, 0), (1, 0), (-1, 0), (2, 0)], [(0, 0), (1, 0), (0.5, 0.8), (10, 10), (20, 20)]),
+    ([(0, 0), (1, 0), (0.5, 0.8), (10, 10), (20, 20)], [(0, 0), (1, 0), (-1, 0), (2, 0)]),
+], ids=["triangle-then-cycle", "cycle-then-triangle", "n4-then-n5", "n5-then-n4"])
+def test_stale_entry_is_never_used(first, then):
+    seen_twice(make_cloud(first), 1.0)
+    dm = compute_distance_matrix(make_cloud(then))
+    f = build_vr_filtration(dm, 1.0)
+    assert f.cofaces is None
+    topology._last_edge_set = None
+    assert_same_filtration(f, cold_build(dm, 1.0))
+    assert_engine_matches_reference(f)
+
+
+def test_interleaved_sequences_match_cold_builds():
+    # seed 7 at cap 30 (the complete edge set) and seed 1009 at cap 8 (a
+    # partial one), snapshot by snapshot: each build replaces the entry
+    ring = generate_sequence(ScenarioConfig()).clouds
+    other = generate_sequence(ScenarioConfig(seed=1009)).clouds
+    runs = [(c, cap) for pair in zip(ring, other) for c, cap in zip(pair, (30.0, 8.0))]
+    topology._last_edge_set = None
+    built = [build_vr_filtration(compute_distance_matrix(c), cap) for c, cap in runs]
+    assert all(f.cofaces is None for f in built)
+    for f, (c, cap) in zip(built[:6], runs):
+        assert_same_filtration(f, cold_build(compute_distance_matrix(c), cap))
+
+
+def test_repeat_memory_per_triangle():
+    # 150 blocks under a covering cap: 551,300 triangles. With the entry's
+    # skeleton and grouping included, a repeat's build and reduction each
+    # peak below 64 bytes per triangle, the budget of 1 GiB at the limit.
+    rng = np.random.default_rng(150)
+    dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(150, 2))))
+    topology._last_edge_set = None
+    tracemalloc.start()
+    try:
+        peaks = []
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            f = build_vr_filtration(dm, 20.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            compute_persistence(f)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            del f
+    finally:
+        tracemalloc.stop()
+    assert max(peaks[2:]) < 64 * 551_300
 
 
 # ---------------------------------------------------------------------------
