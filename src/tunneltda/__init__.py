@@ -21,9 +21,9 @@ from .pipeline import (ExperimentReport, FeaturePredictor, WarningReport,
                        compute_barcodes, detect_warning, run_all,
                        run_feature_experiment, run_table6_experiment)
 from .synth import ScenarioConfig, generate_sequence
-from .topology import (Barcode, Chain, DistanceMatrix, FiltSimplex, Filtration,
-                       PersistencePair, PointCloud, barcode_from_cloud, betti_numbers,
-                       boundary, boundary_of_chain, build_vr_filtration,
-                       compute_distance_matrix, compute_persistence)
+from .topology import (Barcode, DistanceMatrix, FiltSimplex, Filtration, PersistencePair,
+                       PointCloud, barcode_from_cloud, betti_numbers, boundary,
+                       boundary_of_chain, build_vr_filtration, compute_distance_matrix,
+                       compute_persistence)
 
 __version__ = "0.1.0"

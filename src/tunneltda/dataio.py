@@ -1,9 +1,12 @@
 """File formats, bundled fixture tables, and serialization for all artifacts.
 
 Formats (all plain text, numbers written with full round-trip precision):
-  snapshot  CSV, header ``block_id,x,y``, coordinates in meters
+  snapshot  CSV, header ``block_id,x,y``, coordinates in meters; a block
+            id holds no comma or line break and no whitespace at either
+            end, which the reader would strip
   manifest  JSON listing ``{"event": int, "path": str}`` pairs (paths
-            relative to the manifest), optional ``metadata``
+            relative to the manifest) under ``snapshots``; other keys,
+            such as ``metadata``, are ignored
   barcode   CSV ``dim,birth,death`` with ``inf`` for open deaths, preceded
             by a ``# max_filtration=...`` comment line; the cap is positive
             and finite, there is at least one bar, and no birth or finite
@@ -102,6 +105,13 @@ SNAPSHOT_HEADER = "block_id,x,y"
 
 
 def write_snapshot(pc: PointCloud, path: str | Path) -> None:
+    """Write one snapshot CSV. A block id that would not read back as itself
+    (one with a comma or a line break, or with whitespace at either end,
+    which the reader strips) is refused before the file is opened."""
+    for bid in map(str, pc.ids):
+        if "," in bid or bid != bid.strip() or len(bid.splitlines()) > 1:
+            raise InputError(f"{path}: block_id {bid!r} would not read back; an id may not "
+                             "hold a comma or a line break, or begin or end with whitespace")
     write_table(path, SNAPSHOT_HEADER,
                 ((str(bid), x, y) for bid, (x, y) in zip(pc.ids, pc.xy)))
 
@@ -157,8 +167,7 @@ class SnapshotSequence:
         return len(self.events)
 
 
-def write_sequence(seq: SnapshotSequence, out_dir: str | Path,
-                   metadata: dict | None = None) -> Path:
+def write_sequence(seq: SnapshotSequence, out_dir: str | Path) -> Path:
     """Write snapshot CSVs plus a manifest; returns the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,11 +176,8 @@ def write_sequence(seq: SnapshotSequence, out_dir: str | Path,
         name = f"snapshot_{event:03d}.csv"
         write_snapshot(cloud, out_dir / name)
         entries.append({"event": event, "path": name})
-    manifest = {"snapshots": entries}
-    if metadata:
-        manifest["metadata"] = metadata
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(json.dumps({"snapshots": entries}, indent=2) + "\n")
     return manifest_path
 
 

@@ -90,9 +90,6 @@ def extract_features(b: Barcode) -> FeatureVector:
     Ties for the longest dim-1 bar are broken by earliest birth.
     """
     cap = b.max_filtration
-    if not cap > 0:
-        raise InputError(f"max filtration must be positive, got {cap}")
-
     h0 = [(p.birth, min(p.death, cap)) for p in b.in_dim(0)]
     h1 = [(p.birth, min(p.death, cap)) for p in b.in_dim(1)]
     h0_lengths = sorted((death - birth for birth, death in h0), reverse=True)

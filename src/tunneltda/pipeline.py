@@ -68,13 +68,18 @@ def barcode_filename(event: int) -> str:
 
 def read_barcode_dir(barcode_dir: Path) -> list[Barcode]:
     """The barcodes of the barcode_NNN.csv files in barcode_dir, in event
-    order; the files must cover events 0..max without gaps and carry one
-    max_filtration, since each barcode's features are taken at its own cap."""
+    order; the files must cover events 0..max without gaps, one file per
+    event, and carry one max_filtration, since each barcode's features are
+    taken at its own cap."""
     found = {}
     for p in sorted(barcode_dir.glob("barcode_*.csv")):
         m = BARCODE_FILE_RE.search(p.name)
         if m:
-            found[int(m.group(1))] = p
+            event = int(m.group(1))
+            if event in found:
+                raise InputError(f"{found[event].name} and {p.name} in {barcode_dir} are both "
+                                 f"barcode files for event {event}")
+            found[event] = p
     if not found:
         raise InputError(f"no barcode_*.csv files in {barcode_dir}")
     missing = [e for e in range(max(found) + 1) if e not in found]
@@ -220,10 +225,7 @@ def run_feature_experiment(
     x_std = float(train_events.std())
     xs = ((train_events - x_mean) / x_std)[:, None]
 
-    sets = {}
-    for k, column in values.items():
-        with _prefixed(f"feature {k}: "):
-            sets[k] = lssvm.TrainingSet(xs, column[:split + 1])
+    sets = {k: lssvm.TrainingSet(xs, column[:split + 1]) for k, column in values.items()}
     searched = [k for k, ts in sets.items() if np.ptp(ts.targets) > 0.0]
     picks = {}
     if searched:

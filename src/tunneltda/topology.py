@@ -110,25 +110,6 @@ class FiltSimplex:
         return (self.value, self.dim, self.vertices)
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A Z2 chain: the set of simplices carrying coefficient 1.
-
-    Addition is symmetric difference, so c + c = 0 for every chain.
-    """
-
-    simplices: frozenset[tuple[int, ...]] = frozenset()
-
-    def __add__(self, other: "Chain") -> "Chain":
-        return Chain(self.simplices ^ other.simplices)
-
-    def __bool__(self) -> bool:
-        return bool(self.simplices)
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-
 @dataclass(frozen=True, eq=False)
 class Filtration:
     """A capped complex up to triangles, held as sorted arrays.
@@ -197,13 +178,15 @@ class Barcode:
     """Persistence intervals for dimensions 0 and 1.
 
     A dim-1 pair with infinite death was still open at the filtration cap
-    (censored); feature extraction clamps such deaths to the cap.
+    (censored); feature extraction clamps such deaths to the cap, which is
+    positive and finite.
     """
 
     pairs: tuple[PersistencePair, ...]
     max_filtration: float
 
     def __post_init__(self):
+        check_max_filtration(self.max_filtration)
         for p in self.pairs:
             if p.dim not in (0, 1):
                 raise InputError(f"persistence pair {p} has dimension {p.dim}, expected 0 or 1")
@@ -406,23 +389,23 @@ def _enumerate_triangles(n: int, max_filtration: float, i: np.ndarray, j: np.nda
     return skeleton
 
 
-def boundary(s: FiltSimplex) -> Chain:
-    """Boundary of a simplex over Z2: each facet with coefficient 1.
+def boundary(s: FiltSimplex) -> frozenset[tuple[int, ...]]:
+    """Boundary of a simplex over Z2, as a chain: the set of simplices
+    carrying coefficient 1, so chains add by symmetric difference.
 
     Vertices have empty boundary. Signs vanish modulo 2, so the boundary is
     just the set of faces obtained by dropping one vertex.
     """
     if s.dim == 0:
-        return Chain()
-    faces = [s.vertices[:i] + s.vertices[i + 1:] for i in range(len(s.vertices))]
-    return Chain(frozenset(faces))
+        return frozenset()
+    return frozenset(s.vertices[:i] + s.vertices[i + 1:] for i in range(len(s.vertices)))
 
 
-def boundary_of_chain(c: Chain) -> Chain:
+def boundary_of_chain(c: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """Z2-linear extension of the boundary operator to chains."""
-    total = Chain()
-    for verts in c.simplices:
-        total = total + boundary(FiltSimplex(verts, 0.0))
+    total = frozenset()
+    for verts in c:
+        total ^= boundary(FiltSimplex(verts, 0.0))
     return total
 
 
@@ -501,22 +484,19 @@ def compute_persistence(f: Filtration) -> Barcode:
 
         def coboundary(e):
             return cofaces[start[e]:start[e + 1]]
-
-        has_coface = start[1:] > start[:-1]
-        earliest = np.full(m, n_tris, dtype=np.intp)
-        earliest[has_coface] = cofaces[start[:-1][has_coface]]  # groups ascend
     else:
         cofaces, start, group = f.cofaces
 
         def coboundary(e):
             g = group[e]
             return cofaces[start[g]:start[g + 1]].astype(np.intp)
-
+    has_coface = start[1:] > start[:-1]
+    earliest = np.full(m, n_tris, dtype=np.intp)
+    if f.cofaces is None:
+        earliest[has_coface] = cofaces[start[:-1][has_coface]]  # groups ascend
+    elif n_tris:
         # groups do not ascend, so a group's earliest coface is its minimum
-        has_coface = start[1:] > start[:-1]
-        earliest = np.full(len(has_coface), n_tris, dtype=np.intp)
-        if n_tris:
-            earliest[has_coface] = np.minimum.reduceat(cofaces, start[:-1][has_coface])
+        earliest[has_coface] = np.minimum.reduceat(cofaces, start[:-1][has_coface])
         earliest = earliest[group]
     # Edge e and its earliest coface are an apparent pair when e is that
     # triangle's latest facet; the check reads one triangle per edge.

@@ -25,7 +25,7 @@ def reference_persistence(f: Filtration, keep_zero_bars: bool = False) -> Barcod
     pivot_of_row: dict[int, int] = {}  # creator row -> column that kills it
 
     for j, s in enumerate(f.simplices):
-        col = {order[face] for face in boundary(s).simplices}
+        col = {order[face] for face in boundary(s)}
         while col:
             low = max(col)
             other = pivot_of_row.get(low)

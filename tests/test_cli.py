@@ -171,6 +171,19 @@ def test_features_refuses_mixed_caps(tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_features_refuses_two_barcode_files_for_one_event(tmp_path, capsys):
+    # barcode_001.csv and barcode_1.csv both name event 1; neither may win
+    bc_dir = tmp_path / "barcodes"
+    bc_dir.mkdir()
+    for name in ("barcode_000.csv", "barcode_001.csv", "barcode_1.csv"):
+        (bc_dir / name).write_text("# max_filtration=30.0\ndim,birth,death\n0,0.0,inf\n")
+    assert run(["features", "--barcode-dir", bc_dir, "--out", tmp_path / "f.csv"]) == 1
+    err = capsys.readouterr().err
+    assert (f"input error: barcode_001.csv and barcode_1.csv in {bc_dir} are both barcode "
+            "files for event 1") in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_features_names_a_barcode_file_with_a_bad_cap(tmp_path, capsys):
     # nan != nan, so two nan caps would otherwise pass for two mixed caps
     bc_dir = tmp_path / "barcodes"

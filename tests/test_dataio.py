@@ -34,6 +34,20 @@ def test_snapshot_42_rows(tmp_path):
     assert len(dataio.load_snapshot(path)) == 42
 
 
+@pytest.mark.parametrize("bid", ["a,b", "a\nb", "a\r\nb", "a\x1cb", "a\u2028b", " a", "a ",
+                                 "\t", "a\n"])
+def test_snapshot_refuses_an_id_that_would_not_read_back(tmp_path, bid):
+    # a comma or a line break breaks the row; the reader strips whitespace,
+    # so " a" would come back as "a", a duplicate of the other id
+    cloud = PointCloud(("a", bid), np.zeros((2, 2)))
+    path = tmp_path / "s.csv"
+    with pytest.raises(InputError) as exc:
+        dataio.write_snapshot(cloud, path)
+    assert str(exc.value) == (f"{path}: block_id {bid!r} would not read back; an id may not "
+                              "hold a comma or a line break, or begin or end with whitespace")
+    assert not path.exists()
+
+
 def test_snapshot_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,1,2\n")
@@ -140,10 +154,20 @@ def test_sequence_id_mismatch_names_event(tmp_path):
         dataio.load_sequence(manifest)
 
 
+def test_sequence_manifest_metadata_is_ignored(tmp_path):
+    manifest = write_test_sequence(tmp_path, 3)
+    doc = json.loads(manifest.read_text())
+    doc["metadata"] = {"site": "demo"}
+    manifest.write_text(json.dumps(doc))
+    seq = dataio.load_sequence(manifest)
+    assert seq.events == (0, 1, 2)
+    assert seq.clouds[0].ids == ("a", "b", "c")
+
+
 def test_sequence_round_trip(tmp_path):
     clouds = tuple(make_cloud([(0, 0), (1, e), (2, 2 * e)]) for e in range(4))
     seq = dataio.SnapshotSequence((0, 1, 2, 3), clouds)
-    manifest = dataio.write_sequence(seq, tmp_path / "out", metadata={"site": "demo"})
+    manifest = dataio.write_sequence(seq, tmp_path / "out")
     back = dataio.load_sequence(manifest)
     assert back.events == seq.events
     for a, b in zip(back.clouds, seq.clouds):
@@ -299,7 +323,13 @@ def test_features_blank_lines_are_not_events(tmp_path):
 # bit, so -0.0 stays negative) and identical bytes the second time
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
-block_ids = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-.", min_size=1, max_size=8)
+# what str.splitlines, and so the CSV reader, breaks a line at
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# the ids write_snapshot accepts: any text UTF-8 can hold (no lone
+# surrogates) but a comma or a line break, with no whitespace at either end
+block_ids = st.text(st.characters(exclude_characters="," + LINE_BREAKS,
+                                  exclude_categories=("Cs",)),
+                    max_size=8).filter(lambda bid: bid == bid.strip())
 
 
 def exact(values):
