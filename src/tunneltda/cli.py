@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: compute-ph, features, train-predict, warn, loadcalc, synth,
-run-all. Exit codes: 0 success, 1 input error (a usage error and a path that
-cannot be read or written included), 2 numerical error, 3 warning triggered
-(warn/run-all with --gate).
+run-all. Exit codes: 0 success, 1 input error (a usage error, a path that
+cannot be read or written and a run out of memory included), 2 numerical
+error, 3 warning triggered (warn/run-all with --gate).
 """
 
 from __future__ import annotations
@@ -266,6 +266,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"input error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import InputError
 from .features import FeatureVector
 from .lssvm import KernelSpec, LssvmModel
-from .topology import Barcode, PersistencePair, PointCloud
+from .topology import Barcode, PersistencePair, PointCloud, check_max_filtration
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +107,17 @@ SNAPSHOT_HEADER = "block_id,x,y"
 def write_snapshot(pc: PointCloud, path: str | Path) -> None:
     """Write one snapshot CSV. A block id that would not read back as itself
     (one with a comma or a line break, or with whitespace at either end,
-    which the reader strips) is refused before the file is opened."""
+    which the reader strips) or that UTF-8 cannot encode (a lone surrogate)
+    is refused before the file is opened."""
     for bid in map(str, pc.ids):
         if "," in bid or bid != bid.strip() or len(bid.splitlines()) > 1:
             raise InputError(f"{path}: block_id {bid!r} would not read back; an id may not "
                              "hold a comma or a line break, or begin or end with whitespace")
+        try:
+            bid.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise InputError(f"{path}: block_id {bid!r} cannot be written as UTF-8 "
+                             f"({exc.reason})") from None
     write_table(path, SNAPSHOT_HEADER,
                 ((str(bid), x, y) for bid, (x, y) in zip(pc.ids, pc.xy)))
 
@@ -230,8 +236,10 @@ def read_barcode(path: str | Path) -> Barcode:
         cap = float(cap)
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
-    if not 0 < cap < math.inf:  # also false for nan
-        raise InputError(f"{path}:1: max_filtration must be positive and finite, got {cap}")
+    try:
+        check_max_filtration(cap)
+    except InputError as exc:
+        raise InputError(f"{path}:1: {exc}") from None
     pairs = []
     for lineno, (dim, birth, death) in table:
         try:

@@ -50,16 +50,17 @@ def _prefixed(text: str):
 
 def compute_barcodes(seq: SnapshotSequence,
                      max_filtration: float = DEFAULT_MAX_FILTRATION) -> list[Barcode]:
-    """One barcode per snapshot, in event order."""
-    barcodes = []
+    """One barcode per snapshot, in event order. The builds share one reuse
+    dict (see build_vr_filtration), dropped on return."""
+    barcodes, reuse = [], {}
     for event, cloud in enumerate(seq.clouds):
         with _prefixed(f"[persistence event {event}] "):
-            barcodes.append(barcode_from_cloud(cloud, max_filtration))
+            barcodes.append(barcode_from_cloud(cloud, max_filtration, reuse))
     return barcodes
 
 
 SUMMARY_HEADER = "event,beta0_at_0,f8,f14"
-BARCODE_FILE_RE = re.compile(r"barcode_(\d+)\.csv$")
+BARCODE_FILE_RE = re.compile(r"barcode_([0-9]+)\.csv$")  # \d would take any Unicode digit
 
 
 def barcode_filename(event: int) -> str:

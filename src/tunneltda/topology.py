@@ -130,8 +130,8 @@ class Filtration:
 
     ``cofaces``, when given, is the triangles on each edge as (rows, start,
     group): those of edge e are rows[start[g]:start[g + 1]] for g = group[e],
-    in no particular order. build_vr_filtration gives it for an edge set it
-    has seen before; otherwise compute_persistence groups the facets itself.
+    in no particular order. build_vr_filtration gives it for an edge set its
+    reuse has seen before; otherwise compute_persistence groups the facets.
     """
 
     n_vertices: int
@@ -229,6 +229,7 @@ def check_max_filtration(max_filtration: float) -> None:
 def build_vr_filtration(
     dm: DistanceMatrix,
     max_filtration: float = DEFAULT_MAX_FILTRATION,
+    reuse: dict | None = None,
 ) -> Filtration:
     """Vietoris-Rips filtration up to triangles, capped at max_filtration.
 
@@ -249,28 +250,27 @@ def build_vr_filtration(
     unsigned type, so the only float sort is that of the edges and the
     triangle sort is a radix sort while ranks fit 16 bits.
 
-    The module keeps one entry for the last edge set, keyed by n and the
-    flat ids i * n + j of its edges. A new edge set drops the entry before
-    it enumerates and keeps only its key. When the next build repeats it
-    (every snapshot of a ring that the cap covers), the entry takes the
+    The builds of a sequence may share one dict, reuse, that holds one entry
+    for the last edge set, keyed by n and the flat ids i * n + j of its
+    edges; without it a build keeps nothing. A new edge set drops the entry
+    before it enumerates and keeps only its key. When the next build repeats
+    it (every snapshot of a ring that the cap covers), the entry takes the
     skeleton and its coface grouping, built once; later repeats skip the
-    enumeration. Each repeat hands compute_persistence the grouping
-    relabelled into its own triangle order (Filtration.cofaces), so the
-    reduction sorts no facets.
+    enumeration. Each repeat hands compute_persistence the grouping in its
+    own triangle order (Filtration.cofaces), so the reduction sorts no facets.
 
     The cap must be positive and finite. The candidates are counted before
     any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M)
     raise InputError. With a cap covering the cloud every candidate is a
     triangle. Measured with tracemalloc at covering caps, the filtration's
-    own arrays and the kept entry included: at n = 150 and 250 a new edge
-    set peaks at about 33 bytes per triangle in the build and 63 in the
-    reduction that follows, and a repeat at about 55 and 49, of which the
-    entry holds 18 (the skeleton 6, the grouping 12). At the limit (n = 466,
-    16.76M triangles, 32-bit ids) a new edge set peaks at 1.07 GiB, in the
-    reduction, and a repeat at 0.96 GiB, the entry holding 24 bytes per
-    triangle; 2 GiB would be passed near 31M.
+    own arrays and the entry in reuse included: at n = 150 and 250 a new
+    edge set peaks at about 33 bytes per triangle in the build and 63 in the
+    reduction that follows, the first repeat at about 55 and 49 and later
+    ones at 50 and 49, of which the entry holds 18 (skeleton 6, grouping
+    12). At the limit (n = 466, 16.76M triangles, 32-bit ids) a new edge set
+    peaks at 1.07 GiB, in the reduction, and a repeat at 0.96 GiB, the entry
+    holding 24 bytes per triangle; 2 GiB would be passed near 31M.
     """
-    global _last_edge_set
     check_max_filtration(max_filtration)
     d, n = dm.d, dm.n
     # The edges (i, j), i < j, in (i, j) order, and their flat ids i * n + j.
@@ -282,12 +282,13 @@ def build_vr_filtration(
     j = j[upper]
     m = len(flat)
     id_type = np.min_scalar_type(m)
-    entry = _last_edge_set
+    # (n, flat ids, None or (skeleton, grouping)); out of reuse while a build runs
+    entry = None if reuse is None else reuse.pop("edge_set", None)
     if entry is None or entry[0] != n or not np.array_equal(entry[1], flat):
-        _last_edge_set = None
+        del entry  # a stale one is freed before the enumeration
         skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
         grouping = None
-        _last_edge_set = (n, flat.astype(np.min_scalar_type(n * n)), None)
+        entry = None if reuse is None else (n, flat.astype(np.min_scalar_type(n * n)), None)
     elif entry[2] is None:
         skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
         rows, start = _group_cofaces(skeleton, m)
@@ -296,9 +297,11 @@ def build_vr_filtration(
         del rows, start
         for a in (skeleton, *grouping):
             a.setflags(write=False)
-        _last_edge_set = (n, entry[1], (skeleton, grouping))
+        entry = (n, entry[1], (skeleton, grouping))
     else:
         skeleton, grouping = entry[2]
+    if reuse is not None:
+        reuse["edge_set"] = entry
     # A stable sort by value gives the (value, vertices) order; pos[p] is
     # the filtration index of the edge at (i, j) position p.
     edge_values = d[i, j]
@@ -330,12 +333,6 @@ def build_vr_filtration(
         cofaces = (_gather(relabel, rows), start, order)
     return Filtration(n, np.column_stack([i, j])[order], values, facets, tri_values,
                       float(max_filtration), cofaces)
-
-
-# The last edge set that build_vr_filtration saw: (n, flat edge ids, None
-# until it repeats, then (skeleton, coface grouping)). Read once per build and
-# replaced whole, so a build never sees a half-made entry.
-_last_edge_set: tuple | None = None
 
 
 def _gather(a: np.ndarray, index: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
@@ -420,8 +417,8 @@ def compute_persistence(f: Filtration) -> Barcode:
     H1: the coboundaries of the remaining edges are reduced in reverse
     filtration order, each column's pivot being its earliest triangle (de
     Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser, 2021). Each
-    edge's cofaces come from f.cofaces when the build gives them (an edge
-    set it has seen before). Otherwise a stable argsort groups the facets,
+    edge's cofaces come from f.cofaces when the build gives them (a repeated
+    edge set). Otherwise a stable argsort groups the facets,
     which lists each edge's cofaces ascending, so the earliest comes first;
     f.cofaces lists them in no order, so the earliest of each group is its
     minimum, from np.minimum.reduceat. An edge that is the latest facet of
@@ -573,8 +570,9 @@ def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
-def barcode_from_cloud(pc: PointCloud, max_filtration: float = DEFAULT_MAX_FILTRATION) -> Barcode:
-    """Convenience: distance matrix -> VR filtration -> barcode."""
+def barcode_from_cloud(pc: PointCloud, max_filtration: float = DEFAULT_MAX_FILTRATION,
+                       reuse: dict | None = None) -> Barcode:
+    """Convenience: distance matrix -> VR filtration (reuse as there) -> barcode."""
     dm = compute_distance_matrix(pc)
-    f = build_vr_filtration(dm, max_filtration)
+    f = build_vr_filtration(dm, max_filtration, reuse)
     return compute_persistence(f)

@@ -510,3 +510,13 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
     for args in commands:
         assert run(args) == (3 if "--gate" in args else 0), args
     capsys.readouterr()
+
+
+def test_out_of_memory_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def exhausted(pc):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (11585, 11585)")
+    monkeypatch.setattr(topology, "compute_distance_matrix", exhausted)
+    assert run(["run-all", "--seed", 1, "--out-dir", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("input error: out of memory: Unable to allocate 1.00 GiB for an array "
+                   "with shape (11585, 11585)\n")

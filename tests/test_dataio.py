@@ -48,6 +48,16 @@ def test_snapshot_refuses_an_id_that_would_not_read_back(tmp_path, bid):
     assert not path.exists()
 
 
+def test_snapshot_refuses_an_id_utf8_cannot_encode(tmp_path):
+    # UTF-8 cannot encode a lone surrogate; the refusal comes before the file is opened
+    cloud = PointCloud(("a", "\ud800"), np.zeros((2, 2)))
+    path = tmp_path / "s.csv"
+    with pytest.raises(InputError) as exc:
+        dataio.write_snapshot(cloud, path)
+    assert str(exc.value).startswith(f"{path}: block_id '\\ud800' cannot be written as UTF-8")
+    assert not path.exists()
+
+
 def test_snapshot_missing_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,1,2\n")

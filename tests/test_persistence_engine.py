@@ -10,12 +10,14 @@ clouds and on degenerate ones.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunneltda import topology
+from tunneltda import pipeline, topology
+from tunneltda.dataio import SnapshotSequence
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
 from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, PersistencePair,
@@ -206,32 +208,30 @@ def test_filtration_matches_reference_past_8_bit_ranks():
 def test_triangle_limit_fails_before_allocating():
     # C(500, 3) = 20.7M triangles under a covering cap; the build would need
     # ~1.8 GB, the refusal needs only a few edge-sized arrays. It drops the
-    # last edge set's entry and leaves none of its own.
+    # last edge set's entry from reuse and leaves none of its own.
     square = compute_distance_matrix(make_cloud([(0, 0), (1, 0), (1, 1), (0, 1)]))
-    build_vr_filtration(square, 2.0)
-    assert build_vr_filtration(square, 2.0).cofaces is not None
+    reuse = seen_twice(square, 2.0)
     rng = np.random.default_rng(5)
     dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(500, 2))))
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match=f"give 20708500 triangle candidates, "
                                              f"above the limit of {MAX_TRIANGLE_CANDIDATES}"):
-            build_vr_filtration(dm, 20.0)
+            build_vr_filtration(dm, 20.0, reuse)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
-    assert topology._last_edge_set is None
-    assert build_vr_filtration(square, 2.0).cofaces is None
+    assert reuse == {}
+    assert build_vr_filtration(square, 2.0, reuse).cofaces is None
 
 
 # ---------------------------------------------------------------------------
-# the last edge set's entry: a repeated edge set skips the enumeration
+# the last edge set's entry in reuse: a repeated edge set skips the enumeration
 
 def cold_build(dm, cap):
-    """A build that finds no entry, as for an edge set never seen."""
-    topology._last_edge_set = None
-    return build_vr_filtration(dm, cap)
+    """The first build of a sequence: its reuse holds no entry."""
+    return build_vr_filtration(dm, cap, {})
 
 
 def hand_built(f):
@@ -260,11 +260,13 @@ def assert_same_filtration(got, want):
 def test_repeated_ring_edge_set_builds_as_a_cold_build():
     # at cap 30 every snapshot of the ring has the complete edge set: the
     # first build keeps only its key, the second enumerates again and keeps
-    # the skeleton and its coface grouping, the rest reuse both
+    # the skeleton and its coface grouping, the rest reuse both. Builds
+    # without reuse keep nothing, so each is cold.
     clouds = generate_sequence(ScenarioConfig()).clouds
-    cold = [cold_build(compute_distance_matrix(c), 30.0) for c in clouds]
-    topology._last_edge_set = None
-    warm = [build_vr_filtration(compute_distance_matrix(c), 30.0) for c in clouds]
+    cold = [build_vr_filtration(compute_distance_matrix(c), 30.0) for c in clouds]
+    assert all(f.cofaces is None for f in cold)
+    reuse = {}
+    warm = [build_vr_filtration(compute_distance_matrix(c), 30.0, reuse) for c in clouds]
     assert warm[0].cofaces is None and all(f.cofaces is not None for f in warm[1:])
     for k in (0, 1, 2, 20):
         assert_same_filtration(warm[k], cold[k])
@@ -278,19 +280,22 @@ def test_repeated_build_matches_cold_build_on_tied_clouds(spec):
     cloud, cap = tied_cloud_and_cap(spec)
     dm = compute_distance_matrix(cloud)
     for cap in (cap, max(dm.d.max(), spec[0])):  # the drawn cap, then a covering one
-        cold = cold_build(dm, cap)
-        first_repeat, repeat = build_vr_filtration(dm, cap), build_vr_filtration(dm, cap)
+        reuse = {}
+        cold = build_vr_filtration(dm, cap, reuse)
+        assert cold.cofaces is None
+        first_repeat, repeat = (build_vr_filtration(dm, cap, reuse) for _ in range(2))
         for f in (first_repeat, repeat):
             assert f.cofaces is not None
             assert_same_filtration(f, cold)
         assert_engine_matches_reference(repeat)
 
 
-def seen_twice(cloud, cap):
-    """Build cloud's filtration twice, so the entry holds its triangles."""
-    dm = compute_distance_matrix(cloud)
-    build_vr_filtration(dm, cap)
-    assert build_vr_filtration(dm, cap).cofaces is not None
+def seen_twice(dm, cap):
+    """A reuse whose entry holds the triangles of dm's edge set, built twice."""
+    reuse = {}
+    build_vr_filtration(dm, cap, reuse)
+    assert build_vr_filtration(dm, cap, reuse).cofaces is not None
+    return reuse
 
 
 @pytest.mark.parametrize("first, then", [
@@ -302,27 +307,34 @@ def seen_twice(cloud, cap):
     ([(0, 0), (1, 0), (-1, 0), (2, 0)], [(0, 0), (1, 0), (0.5, 0.8), (10, 10), (20, 20)]),
     ([(0, 0), (1, 0), (0.5, 0.8), (10, 10), (20, 20)], [(0, 0), (1, 0), (-1, 0), (2, 0)]),
 ], ids=["triangle-then-cycle", "cycle-then-triangle", "n4-then-n5", "n5-then-n4"])
-def test_stale_entry_is_never_used(first, then):
-    seen_twice(make_cloud(first), 1.0)
+def test_stale_entry_is_never_used(first, then, monkeypatch):
+    # nor kept: its skeleton is freed before the new edge set is enumerated
+    reuse = seen_twice(compute_distance_matrix(make_cloud(first)), 1.0)
+    stale = weakref.ref(reuse["edge_set"][2][0])
+    freed, enumerate_triangles = [], topology._enumerate_triangles
+    monkeypatch.setattr(topology, "_enumerate_triangles",
+                        lambda *args: freed.append(stale() is None) or enumerate_triangles(*args))
     dm = compute_distance_matrix(make_cloud(then))
-    f = build_vr_filtration(dm, 1.0)
-    assert f.cofaces is None
-    topology._last_edge_set = None
+    f = build_vr_filtration(dm, 1.0, reuse)
+    assert f.cofaces is None and freed == [True]
     assert_same_filtration(f, cold_build(dm, 1.0))
     assert_engine_matches_reference(f)
 
 
 def test_interleaved_sequences_match_cold_builds():
     # seed 7 at cap 30 (the complete edge set) and seed 1009 at cap 8 (a
-    # partial one), snapshot by snapshot: each build replaces the entry
+    # partial one), snapshot by snapshot. Builds without reuse keep nothing
+    # between calls; builds sharing one reuse replace its entry each time.
     ring = generate_sequence(ScenarioConfig()).clouds
     other = generate_sequence(ScenarioConfig(seed=1009)).clouds
-    runs = [(c, cap) for pair in zip(ring, other) for c, cap in zip(pair, (30.0, 8.0))]
-    topology._last_edge_set = None
-    built = [build_vr_filtration(compute_distance_matrix(c), cap) for c, cap in runs]
-    assert all(f.cofaces is None for f in built)
-    for f, (c, cap) in zip(built[:6], runs):
-        assert_same_filtration(f, cold_build(compute_distance_matrix(c), cap))
+    runs = [(compute_distance_matrix(c), cap)
+            for pair in zip(ring, other) for c, cap in zip(pair, (30.0, 8.0))]
+    reuse = {}
+    for built in ([build_vr_filtration(dm, cap) for dm, cap in runs],
+                  [build_vr_filtration(dm, cap, reuse) for dm, cap in runs]):
+        assert all(f.cofaces is None for f in built)
+        for f, (dm, cap) in zip(built[:6], runs):
+            assert_same_filtration(f, cold_build(dm, cap))
 
 
 def test_repeat_memory_per_triangle():
@@ -331,13 +343,13 @@ def test_repeat_memory_per_triangle():
     # peak below 64 bytes per triangle, the budget of 1 GiB at the limit.
     rng = np.random.default_rng(150)
     dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(150, 2))))
-    topology._last_edge_set = None
+    reuse = {}
     tracemalloc.start()
     try:
         peaks = []
         for _ in range(3):
             tracemalloc.reset_peak()
-            f = build_vr_filtration(dm, 20.0)
+            f = build_vr_filtration(dm, 20.0, reuse)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             compute_persistence(f)
@@ -346,6 +358,23 @@ def test_repeat_memory_per_triangle():
     finally:
         tracemalloc.stop()
     assert max(peaks[2:]) < 64 * 551_300
+
+
+def test_compute_barcodes_keeps_no_entry_after_it_returns():
+    # the same 150 blocks three times under a covering cap: the repeats'
+    # entry holds ~10 MB of triangles while the sequence runs, none after
+    rng = np.random.default_rng(150)
+    cloud = make_cloud(rng.uniform(0.0, 10.0, size=(150, 2)))
+    seq = SnapshotSequence((0, 1, 2), (cloud,) * 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        barcodes = pipeline.compute_barcodes(seq, 20.0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2 ** 20
+    assert barcodes[0].pairs == barcodes[1].pairs == barcodes[2].pairs
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tunneltda import dataio, features, pipeline
+from tunneltda import dataio, features, pipeline, topology
 from tunneltda.dataio import SnapshotSequence
 from tunneltda.errors import InputError
 from tunneltda.pipeline import (FeaturePredictor, detect_warning, run_all,
@@ -202,6 +202,36 @@ def small_scenario():
     return generate_sequence(ScenarioConfig(n_blocks=18, n_events=8, seed=5,
                                             ring_radius=8.0, collapse_rate=0.4,
                                             jitter=0.04))
+
+
+def test_compute_barcodes_calls_barcode_from_cloud_once_per_snapshot(monkeypatch):
+    # The ring benchmark cuts its timing at each pipeline.barcode_from_cloud
+    # call, looked up through the module attribute. Inside one sequence the
+    # ring's repeated edge set is enumerated twice, then reused.
+    seq = generate_sequence(ScenarioConfig())
+    calls, cofaces = [], []
+    from_cloud, build = pipeline.barcode_from_cloud, topology.build_vr_filtration
+    monkeypatch.setattr(pipeline, "barcode_from_cloud",
+                        lambda *a, **k: calls.append(1) or from_cloud(*a, **k))
+
+    def traced_build(*args):
+        f = build(*args)
+        cofaces.append(f.cofaces)
+        return f
+    monkeypatch.setattr(topology, "build_vr_filtration", traced_build)
+    for _ in range(2):  # a second sequence starts cold again
+        calls.clear()
+        cofaces.clear()
+        barcodes = pipeline.compute_barcodes(seq, 30.0)
+        assert len(calls) == len(barcodes) == len(seq.clouds) == 21
+        assert cofaces[0] is None and all(c is not None for c in cofaces[1:])
+
+
+def test_barcode_dir_reads_only_ascii_digits(tmp_path):
+    # \d would read barcode_١.csv (ARABIC-INDIC DIGIT ONE) as event 1
+    for name in ("barcode_000.csv", "barcode_\u0661.csv"):
+        (tmp_path / name).write_text("# max_filtration=30.0\ndim,birth,death\n0,0.0,inf\n")
+    assert len(pipeline.read_barcode_dir(tmp_path)) == 1
 
 
 def test_barcode_stage_writes_no_zero_length_bar(tmp_path):
