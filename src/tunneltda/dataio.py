@@ -1,6 +1,6 @@
 """File formats, bundled fixture tables, and serialization for all artifacts.
 
-Formats (all plain text, numbers written with full round-trip precision):
+Formats (all UTF-8 text, whatever the locale; numbers in full round-trip precision):
   snapshot  CSV, header ``block_id,x,y``, coordinates in meters; a block
             id holds no comma or line break and no whitespace at either
             end, which the reader would strip
@@ -8,9 +8,8 @@ Formats (all plain text, numbers written with full round-trip precision):
             relative to the manifest) under ``snapshots``; other keys,
             such as ``metadata``, are ignored
   barcode   CSV ``dim,birth,death`` with ``inf`` for open deaths, preceded
-            by a ``# max_filtration=...`` comment line; the cap is positive
-            and finite, there is at least one bar, and no birth or finite
-            death lies above the cap, as the engine writes it
+            by a ``# max_filtration=...`` comment line; there is at least
+            one bar, and the cap and each row obey ``Barcode``'s rules
   features  CSV, header ``event,f1..f14``; the event column runs 0..n-1 in
             file order
   model     JSON with kernel spec, gamma, standardization constants,
@@ -22,16 +21,16 @@ Formats (all plain text, numbers written with full round-trip precision):
             ``warning.json`` and the ``--out`` of train-predict and warn),
             written by ``write_json``
 
-Every CSV table goes through ``write_table`` and ``_read_table``. Malformed
-content, or a table or manifest that is not UTF-8, raises InputError naming
-the file; a path that cannot be read or written raises the OSError as it
-comes, and the command line reports that as an input error too.
+Every file is read by ``_read_text`` and written by ``_write_text``; every CSV
+table goes through ``write_table`` and ``_read_table``. A missing file, malformed
+content or text that is not UTF-8 raises InputError naming the file; a path that
+cannot be read or written raises the OSError as it comes, and the command line
+reports that as an input error too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -54,28 +53,39 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8")
+
+
+def _read_text(path: Path, kind: str) -> str:
+    if not path.exists():
+        raise InputError(f"{kind} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _read_json(path: Path, kind: str):
+    try:
+        return json.loads(_read_text(path, kind))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+
+
 def write_table(path: str | Path, header: str, rows, preamble: str | None = None) -> None:
     """Optional preamble line, header, one line per row: ints as written,
     strings as is, other numbers as repr(float(v)) (so inf and -0.0 survive)."""
     lines = [header] if preamble is None else [preamble, header]
     lines += [",".join(map(_cell, row)) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_table(path: Path, kind: str, header: str,
                 preamble: str | None = None) -> tuple[str | None, list[tuple[int, list[str]]]]:
     """(rest of the preamble line or None, non-blank rows as (line number,
     fields)), each row having as many fields as the header."""
-    if not path.exists():
-        raise InputError(f"{kind} file not found: {path}")
-    lines = _read_text(path).splitlines()
+    lines = _read_text(path, kind).splitlines()
     value = None
     if preamble is not None:
         if not lines or not lines[0].startswith(preamble):
@@ -183,18 +193,13 @@ def write_sequence(seq: SnapshotSequence, out_dir: str | Path) -> Path:
         write_snapshot(cloud, out_dir / name)
         entries.append({"event": event, "path": name})
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps({"snapshots": entries}, indent=2) + "\n")
+    write_json(manifest_path, {"snapshots": entries})
     return manifest_path
 
 
 def load_sequence(manifest_path: str | Path) -> SnapshotSequence:
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise InputError(f"manifest not found: {manifest_path}")
-    try:
-        doc = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{manifest_path}: invalid JSON: {exc}") from None
+    doc = _read_json(manifest_path, "manifest")
     entries = doc.get("snapshots") if isinstance(doc, dict) else None
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{manifest_path}: manifest needs a non-empty 'snapshots' list")
@@ -230,33 +235,26 @@ def write_barcode(b: Barcode, path: str | Path) -> None:
 
 
 def read_barcode(path: str | Path) -> Barcode:
+    """Barcode's rules judge the cap and each row; a refusal names file and line."""
     path = Path(path)
     cap, table = _read_table(path, "barcode", BARCODE_HEADER, preamble=BARCODE_PREAMBLE)
     try:
         cap = float(cap)
+        check_max_filtration(cap)
+    except InputError as exc:  # before ValueError, which it subclasses
+        raise InputError(f"{path}:1: {exc}") from None
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
-    try:
-        check_max_filtration(cap)
-    except InputError as exc:
-        raise InputError(f"{path}:1: {exc}") from None
     pairs = []
     for lineno, (dim, birth, death) in table:
         try:
-            dim, birth, death = int(dim), float(birth), float(death)
+            pair = PersistencePair(int(dim), float(birth), float(death))
+            Barcode((pair,), cap)  # the row's one bar, by Barcode's rules
+        except InputError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed persistence pair") from None
-        # the checks of Barcode, with the file and line in the message
-        if dim not in (0, 1):
-            raise InputError(f"{path}:{lineno}: dimension {dim}, expected 0 or 1")
-        if not 0 <= birth <= death:  # also true when either is NaN
-            raise InputError(f"{path}:{lineno}: death {death} and birth {birth} make an "
-                             "invalid persistence pair; need 0 <= birth <= death")
-        # the engine enters no simplex above the cap and writes an open bar as inf
-        if birth > cap or cap < death < math.inf:
-            raise InputError(f"{path}:{lineno}: birth {birth} or death {death} lies above "
-                             f"max_filtration {cap}")
-        pairs.append(PersistencePair(dim, birth, death))
+        pairs.append(pair)
     return Barcode(tuple(pairs), cap)
 
 
@@ -295,7 +293,7 @@ def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
 # JSON reports and models
 
 def write_json(path: str | Path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_model(model: LssvmModel, x_mean: float, x_std: float,
@@ -310,15 +308,13 @@ def write_model(model: LssvmModel, x_mean: float, x_std: float,
         "inputs": model.inputs.tolist(),
         "classification": model.classification,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_model(path: str | Path) -> tuple[LssvmModel, float, float]:
     path = Path(path)
-    if not path.exists():
-        raise InputError(f"model file not found: {path}")
+    doc = _read_json(path, "model")
     try:
-        doc = json.loads(path.read_text())
         kernel = KernelSpec(doc["kernel"]["kind"], doc["kernel"].get("sigma"))
         model = LssvmModel(
             alphas=np.array(doc["alphas"], dtype=float),
@@ -329,7 +325,7 @@ def read_model(path: str | Path) -> tuple[LssvmModel, float, float]:
             classification=bool(doc.get("classification", False)),
         )
         return model, float(doc["x_mean"]), float(doc["x_std"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed model file: {exc}") from None
 
 

@@ -67,20 +67,25 @@ def barcode_filename(event: int) -> str:
     return f"barcode_{event:03d}.csv"
 
 
+def _barcode_files(barcode_dir: Path):
+    """(event, path) of each barcode file in barcode_dir, by name."""
+    for p in sorted(barcode_dir.glob("barcode_*.csv")):
+        m = BARCODE_FILE_RE.search(p.name)
+        if m:
+            yield int(m.group(1)), p
+
+
 def read_barcode_dir(barcode_dir: Path) -> list[Barcode]:
     """The barcodes of the barcode_NNN.csv files in barcode_dir, in event
     order; the files must cover events 0..max without gaps, one file per
     event, and carry one max_filtration, since each barcode's features are
     taken at its own cap."""
     found = {}
-    for p in sorted(barcode_dir.glob("barcode_*.csv")):
-        m = BARCODE_FILE_RE.search(p.name)
-        if m:
-            event = int(m.group(1))
-            if event in found:
-                raise InputError(f"{found[event].name} and {p.name} in {barcode_dir} are both "
-                                 f"barcode files for event {event}")
-            found[event] = p
+    for event, p in _barcode_files(barcode_dir):
+        if event in found:
+            raise InputError(f"{found[event].name} and {p.name} in {barcode_dir} are both "
+                             f"barcode files for event {event}")
+        found[event] = p
     if not found:
         raise InputError(f"no barcode_*.csv files in {barcode_dir}")
     missing = [e for e in range(max(found) + 1) if e not in found]
@@ -104,7 +109,15 @@ def write_barcode_stage(seq: SnapshotSequence, max_filtration: float,
     features once and write the summary: per event (event, components at
     scale 0, longest hole bar, hole count). Every bar has positive length,
     so the components at scale 0 are the dim-0 bar count, f13. Returns
-    (vectors, summary rows)."""
+    (vectors, summary rows).
+
+    A barcode file already in barcode_dir for an event past the sequence's
+    last would be read as data by read_barcode_dir, so it is refused before
+    anything is computed or written."""
+    for event, p in _barcode_files(barcode_dir):
+        if event >= len(seq):
+            raise InputError(f"{p} is a barcode file for event {event}, but the sequence has "
+                             f"events 0..{len(seq) - 1}; remove it or choose another directory")
     barcodes = compute_barcodes(seq, max_filtration)
     barcode_dir.mkdir(parents=True, exist_ok=True)
     for event, b in enumerate(barcodes):

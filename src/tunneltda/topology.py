@@ -175,23 +175,25 @@ class PersistencePair(NamedTuple):
 
 @dataclass(frozen=True)
 class Barcode:
-    """Persistence intervals for dimensions 0 and 1.
-
-    A dim-1 pair with infinite death was still open at the filtration cap
-    (censored); feature extraction clamps such deaths to the cap, which is
-    positive and finite.
-    """
+    """Persistence intervals for dimensions 0 and 1, as the engine makes them:
+    0 <= birth <= death, and no birth or finite death above the positive,
+    finite cap. An infinite death was still open at the cap (censored);
+    feature extraction clamps such deaths to the cap."""
 
     pairs: tuple[PersistencePair, ...]
     max_filtration: float
 
     def __post_init__(self):
-        check_max_filtration(self.max_filtration)
-        for p in self.pairs:
-            if p.dim not in (0, 1):
-                raise InputError(f"persistence pair {p} has dimension {p.dim}, expected 0 or 1")
-            if not 0 <= p.birth <= p.death:  # also false when either is NaN
-                raise InputError(f"invalid persistence pair {p}")
+        cap = self.max_filtration
+        check_max_filtration(cap)
+        for dim, birth, death in self.pairs:
+            if dim not in (0, 1):
+                raise InputError(f"dimension {dim}, expected 0 or 1")
+            if not 0 <= birth <= death:  # also true when either is NaN
+                raise InputError(f"death {death} and birth {birth} make an invalid "
+                                 "persistence pair; need 0 <= birth <= death")
+            if birth > cap or cap < death < math.inf:
+                raise InputError(f"birth {birth} or death {death} lies above max_filtration {cap}")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -335,7 +337,10 @@ def build_vr_filtration(
                       float(max_filtration), cofaces)
 
 
-def _gather(a: np.ndarray, index: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
+_GATHER_CHUNK = 1 << 16  # indices _gather casts to intp at a time
+
+
+def _gather(a: np.ndarray, index: np.ndarray) -> np.ndarray:
     """a[index] for an index array in a small unsigned type. Indexing casts
     such an index slowly, and np.take first copies it whole to intp; taking
     it a chunk at a time is as fast as np.take and holds one chunk's copy.
@@ -343,8 +348,9 @@ def _gather(a: np.ndarray, index: np.ndarray, chunk: int = 1 << 16) -> np.ndarra
     np.take write straight into out."""
     out = np.empty(index.shape, dtype=a.dtype)
     flat_index, flat_out = index.reshape(-1), out.reshape(-1)
-    for lo in range(0, len(flat_index), chunk):
-        np.take(a, flat_index[lo:lo + chunk], out=flat_out[lo:lo + chunk], mode="clip")
+    for lo in range(0, len(flat_index), _GATHER_CHUNK):
+        hi = lo + _GATHER_CHUNK
+        np.take(a, flat_index[lo:hi], out=flat_out[lo:hi], mode="clip")
     return out
 
 

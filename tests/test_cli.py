@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -496,7 +499,7 @@ def test_numerical_error_names_the_feature(tmp_path, capsys, monkeypatch, args, 
 
 def readme_commands():
     """The tunneltda lines of README's "Command line" block, as argument lists."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("tunneltda ")]
@@ -520,3 +523,66 @@ def test_out_of_memory_exits_one_without_a_traceback(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == ("input error: out of memory: Unable to allocate 1.00 GiB for an array "
                    "with shape (11585, 11585)\n")
+
+
+@pytest.mark.parametrize("command", ["compute-ph", "run-all"])
+def test_stale_barcode_files_are_refused(tmp_path, capsys, monkeypatch, command):
+    # barcodes of a 21-event run, then a 5-event run into the same directory:
+    # features would read events 5..20 of the first run as data
+    long, short = tmp_path / "long", tmp_path / "short"
+    for n_events, data in ((20, long), (4, short)):
+        run(["synth", "--seed", 3, "--n-blocks", 12, "--n-events", n_events,
+             "--ring-radius", 6, "--out-dir", data])
+    out = tmp_path / "out"
+    bc_dir = out if command == "compute-ph" else out / "barcodes"
+    args = [command, "--max-filtration", 10, "--out-dir", out]
+    if command == "run-all":
+        args += ["--split", 2]
+    assert run(args + ["--manifest", long / "manifest.json"]) == 0
+    before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*")
+              if p.is_file()}
+    capsys.readouterr()
+    monkeypatch.setattr(pipeline, "compute_barcodes", None)  # no barcode may be computed
+    assert run(args + ["--manifest", short / "manifest.json"]) == 1
+    err = capsys.readouterr().err
+    assert (f"{bc_dir / 'barcode_005.csv'} is a barcode file for event 5, but the sequence "
+            "has events 0..4; remove it or choose another directory") in err
+    assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.rglob("*")
+            if p.is_file()} == before
+
+
+LOCALE_SCRIPT = """
+import locale, sys
+from tunneltda import dataio, synth
+from tunneltda.cli import main
+from tunneltda.topology import PointCloud
+
+data, out = sys.argv[1:]
+if not sys.flags.utf8_mode:
+    # the C locale's encoding is ASCII, which cannot write the id
+    assert locale.getpreferredencoding(False).lower().replace("-", "") != "utf8"
+    seq = synth.generate_sequence(synth.ScenarioConfig(n_blocks=12, n_events=4, seed=3,
+                                                       ring_radius=6.0))
+    ids = ("\\u00e9",) + seq.clouds[0].ids[1:]
+    clouds = tuple(PointCloud(ids, c.xy) for c in seq.clouds)
+    dataio.write_sequence(dataio.SnapshotSequence(seq.events, clouds), data)
+    assert dataio.load_sequence(data + "/manifest.json").clouds[0].ids == ids
+sys.exit(main(["run-all", "--manifest", data + "/manifest.json", "--split", "2",
+               "--out-dir", out]))
+"""
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale a block id outside ASCII writes and reads back, and
+    # run-all on it writes the same bundle bytes as under UTF-8
+    src = Path(dataio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C")
+    bundles = [tmp_path / "ascii", tmp_path / "utf8"]
+    for utf8, out in zip("01", bundles):  # the C locale run writes the data
+        result = subprocess.run([sys.executable, "-c", LOCALE_SCRIPT, str(tmp_path), str(out)],
+                                env=dict(env, PYTHONUTF8=utf8), capture_output=True)
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+    assert "\u00e9" in (tmp_path / "snapshot_000.csv").read_text(encoding="utf-8")
+    c_locale, utf8 = ({p.relative_to(b): p.read_bytes() for p in b.rglob("*") if p.is_file()}
+                      for b in bundles)
+    assert len(c_locale) == 15 and c_locale == utf8

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,3 +485,21 @@ def test_table6_reported_errors_follow_prediction_denominator():
         for e, w in fx.w_percent.items():
             recomputed = 100.0 * abs(fx.y[e] - fx.j[e]) / abs(fx.y[e])
             assert recomputed == pytest.approx(w, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# text encoding
+
+def test_every_text_io_call_in_the_package_names_its_encoding():
+    # without one, a file follows the locale, not the UTF-8 the formats promise
+    package = Path(dataio.__file__).parent
+    unnamed = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if (name in ("read_text", "write_text", "open")
+                    and not any(k.arg == "encoding" for k in node.keywords)):
+                unnamed.append(f"{path.name}:{node.lineno}: {name}")
+    assert unnamed == []

@@ -262,6 +262,20 @@ def test_barcode_rejects_nan_and_bad_dim(pair):
         Barcode((pair,), 5.0)
 
 
+@pytest.mark.parametrize("pair", [
+    PersistencePair(1, 6.0, math.inf),  # a birth above the cap
+    PersistencePair(0, 0.0, 5.5),       # a finite death above it
+    PersistencePair(1, 5.5, 6.0),
+])
+def test_barcode_rejects_a_bar_above_its_cap(pair):
+    # the engine enters no simplex above the cap, and features would clamp
+    # such a bar to the cap without a word
+    with pytest.raises(InputError) as exc:
+        Barcode((PersistencePair(0, 0.0, math.inf), pair), 5.0)
+    assert str(exc.value) == (f"birth {pair.birth} or death {pair.death} lies above "
+                              "max_filtration 5.0")
+
+
 @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan, math.inf])
 def test_barcode_cap_must_be_positive_and_finite(cap):
     with pytest.raises(InputError) as exc:
