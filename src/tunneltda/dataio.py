@@ -36,10 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BarError, InputError
 from .features import FeatureVector
 from .lssvm import KernelSpec, LssvmModel
-from .topology import Barcode, PersistencePair, PointCloud, check_max_filtration
+from .topology import Barcode, PointCloud, check_max_filtration
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ BARCODE_HEADER = "dim,birth,death"
 
 def write_barcode(b: Barcode, path: str | Path) -> None:
     write_table(path, BARCODE_HEADER,
-                ((int(p.dim), float(p.birth), float(p.death)) for p in b.pairs),
+                zip(b.dims.tolist(), b.births.tolist(), b.deaths.tolist()),
                 preamble=BARCODE_PREAMBLE + repr(float(b.max_filtration)))
 
 
@@ -248,14 +248,13 @@ def read_barcode(path: str | Path) -> Barcode:
     pairs = []
     for lineno, (dim, birth, death) in table:
         try:
-            pair = PersistencePair(int(dim), float(birth), float(death))
-            Barcode((pair,), cap)  # the row's one bar, by Barcode's rules
-        except InputError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+            pairs.append((int(dim), float(birth), float(death)))
         except ValueError:
             raise InputError(f"{path}:{lineno}: malformed persistence pair") from None
-        pairs.append(pair)
-    return Barcode(tuple(pairs), cap)
+    try:
+        return Barcode(pairs, cap)
+    except BarError as exc:
+        raise InputError(f"{path}:{table[exc.index][0]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

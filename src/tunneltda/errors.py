@@ -5,6 +5,14 @@ class InputError(ValueError):
     """Invalid user input: bad files, out-of-range parameters, malformed data."""
 
 
+class BarError(InputError):
+    """A bar that breaks a Barcode rule; index is its position among the bars."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class NumericalError(ArithmeticError):
     """A numerical procedure failed (singular system, non-finite result).
 

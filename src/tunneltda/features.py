@@ -71,60 +71,66 @@ class FeatureVector:
         return float(getattr(self, f"f{index}"))
 
 
-def _mean(values: list[float]) -> float:
-    return float(np.mean(values)) if values else 0.0
+def _mean(values: np.ndarray) -> float:
+    return float(np.mean(values)) if len(values) else 0.0
 
 
-def _sum(values: list[float]) -> float:
-    """Sum strictly left to right. Builtin sum() compensates its rounding
-    since Python 3.12, so it would give other last bits there."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
+def _sum(values: np.ndarray) -> float:
+    """Sum strictly left to right from 0.0, as np.cumsum adds; the + 0.0
+    makes a sum of -0.0s 0.0, as a start from 0.0 does. Builtin sum()
+    compensates its rounding since Python 3.12, and np.sum adds pairwise,
+    so either would give other last bits."""
+    return float(np.cumsum(values)[-1] + 0.0) if len(values) else 0.0
 
 
 def extract_features(b: Barcode) -> FeatureVector:
-    """Compute the 14 features of one barcode at its own cap.
+    """Compute the 14 features of one barcode at its own cap, from its
+    arrays; each selection keeps the barcode's bar order.
 
     Ties for the longest dim-1 bar are broken by earliest birth.
     """
     cap = b.max_filtration
-    h0 = [(p.birth, min(p.death, cap)) for p in b.in_dim(0)]
-    h1 = [(p.birth, min(p.death, cap)) for p in b.in_dim(1)]
-    h0_lengths = sorted((death - birth for birth, death in h0), reverse=True)
-    h1_lengths = [death - birth for birth, death in h1]
+    h0, h1 = b.dims == 0, b.dims == 1
+    births = b.births[h1]
+    h0_deaths, deaths = np.minimum(b.deaths[h0], cap), np.minimum(b.deaths[h1], cap)
+    h0_lengths = h0_deaths - b.births[h0]
+    h1_lengths = deaths - births
+    # a stable sort of the negated lengths keeps equal ones, -0.0 and 0.0
+    # among them, in bar order
+    longest_first = h0_lengths[np.argsort(-h0_lengths, kind="stable")]
 
-    f1 = _sum(h0_lengths)
+    f1 = _sum(longest_first)
     f2 = _sum(h1_lengths)
-    f3 = h0_lengths[1] if len(h0_lengths) > 1 else 0.0
-    f4 = h0_lengths[2] if len(h0_lengths) > 2 else 0.0
+    f3 = float(longest_first[1]) if len(longest_first) > 1 else 0.0
+    f4 = float(longest_first[2]) if len(longest_first) > 2 else 0.0
 
-    interior = [death - birth for birth, death in h0 if death < cap]
+    interior = h0_lengths[h0_deaths < cap]
     f5 = _sum(interior)
     f6 = _mean(interior)
 
-    if h1:
+    if len(h1_lengths):
         # longest bar, earliest birth on ties
-        best_birth, best_death = max(h1, key=lambda bar: (bar[1] - bar[0], -bar[0]))
-        f7 = best_birth
-        f8 = best_death - best_birth
+        longest = np.flatnonzero(h1_lengths == h1_lengths.max())
+        best = longest[births[longest].argmin()]
+        f7 = float(births[best])
+        f8 = float(h1_lengths[best])
     else:
         f7 = f8 = 0.0
 
-    long_bars = [(birth, death) for birth, death in h1 if death - birth > LONG_BAR_THRESHOLD]
-    f9 = min((birth for birth, _ in long_bars), default=0.0)
-    f10 = _mean([(birth + death) / 2.0 for birth, death in long_bars])
+    long_bars = h1_lengths > LONG_BAR_THRESHOLD
+    long_births = births[long_bars]
+    f9 = float(long_births[long_births.argmin()]) if len(long_births) else 0.0
+    f10 = _mean((long_births + deaths[long_bars]) / 2.0)
 
     # a clamped death reaches the cap exactly when the death does
-    censored = [cap - birth for birth, death in h1 if death >= cap]
+    censored = cap - births[deaths >= cap]
     f11 = _sum(censored)
     f12 = _mean(censored)
 
     return FeatureVector(
         f1=f1, f2=f2, f3=f3, f4=f4, f5=f5, f6=f6, f7=f7, f8=f8,
         f9=f9, f10=f10, f11=f11, f12=f12,
-        f13=len(h0), f14=len(h1),
+        f13=int(h0.sum()), f14=int(h1.sum()),
     )
 
 

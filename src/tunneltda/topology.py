@@ -15,12 +15,14 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InputError
+from .errors import BarError, InputError
 
 DEFAULT_MAX_FILTRATION = 30.0
 # Triangle candidates a filtration build may enumerate; ~1 GiB at the peak of
 # the reduction that follows (see build_vr_filtration).
 MAX_TRIANGLE_CANDIDATES = 1 << 24
+# Block pairs a cloud's edge listing may measure; see PointCloud.edges_within.
+MAX_EDGE_CANDIDATES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,57 @@ class PointCloud:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def edges_within(self, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The block pairs i < j at distance <= cap, in (i, j) order, and
+        their distances, as (i, j, values).
+
+        The candidates come from a sweep in x order: each block's are the
+        blocks after it whose x is at most its own plus cap * (1 + 1e-12), a
+        margin that only adds candidates against rounding. A candidate's
+        distance is sqrt((x_i - x_j)^2 + (y_i - y_j)^2) in the operation
+        order of compute_distance_matrix, so values equal its entries bit for
+        bit; pairs outside every window are never measured. The candidates
+        are counted first, and more than MAX_EDGE_CANDIDATES (2^24, about
+        16.8M, at up to 64 bytes each: 1 GiB) raise InputError before any
+        is built. A candidate whose distance overflows raises InputError
+        too.
+        """
+        n = len(self.ids)
+        x, y = self.xy[:, 0], self.xy[:, 1]
+        by_x = np.argsort(x, kind="stable")
+        xs = x[by_x]
+        # the blocks at x-order positions p + 1 .. end[p] - 1 are p's candidates
+        with np.errstate(over="ignore"):
+            end = np.searchsorted(xs, xs + cap * (1 + 1e-12), side="right")
+        after = np.arange(1, n + 1)
+        counts = end - after
+        candidates = int(counts.sum())
+        if candidates > MAX_EDGE_CANDIDATES:
+            raise InputError(
+                f"{n} blocks at max_filtration {cap:g} give {candidates} block pairs within "
+                f"the cap in x, above the limit of {MAX_EDGE_CANDIDATES}; lower the cap")
+        p = np.repeat(np.arange(n), counts)
+        q = np.repeat(after - (np.cumsum(counts) - counts), counts)
+        q += np.arange(candidates)
+        a, b = by_x[p], by_x[q]
+        del p, q
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        del a, b
+        with np.errstate(over="ignore"):
+            d = x[i] - x[j]
+            d *= d
+            dy = y[i] - y[j]
+            dy *= dy
+            d += dy
+            del dy
+            np.sqrt(d, out=d)
+        if not np.all(np.isfinite(d)):
+            raise InputError("distances must be finite")
+        keep = np.flatnonzero(d <= cap)
+        i, j, d = i[keep], j[keep], d[keep]
+        order = np.argsort(i * n + j)
+        return i[order], j[order], d[order]
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, float, float]]) -> "PointCloud":
@@ -79,6 +132,17 @@ class DistanceMatrix:
     @property
     def n(self) -> int:
         return self.d.shape[0]
+
+    def __len__(self) -> int:
+        return self.n
+
+    def edges_within(self, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs i < j at distance <= cap, in (i, j) order, and their
+        distances, as (i, j, values)."""
+        i, j = np.divmod(np.flatnonzero(self.d <= cap), self.n)
+        upper = i < j
+        i, j = i[upper], j[upper]
+        return i, j, self.d[i, j]
 
 
 @dataclass(frozen=True)
@@ -173,30 +237,74 @@ class PersistencePair(NamedTuple):
     death: float  # math.inf when the class survives the whole filtration
 
 
-@dataclass(frozen=True)
 class Barcode:
     """Persistence intervals for dimensions 0 and 1, as the engine makes them:
     0 <= birth <= death, and no birth or finite death above the positive,
     finite cap. An infinite death was still open at the cap (censored);
-    feature extraction clamps such deaths to the cap."""
+    feature extraction clamps such deaths to the cap.
 
-    pairs: tuple[PersistencePair, ...]
-    max_filtration: float
+    The bars are held as three read-only arrays of one entry per bar, in the
+    order given: dims (int8), births and deaths (float64).
+    Barcode(pairs, max_filtration) takes (dim, birth, death) triples;
+    from_arrays takes the arrays and makes them read-only. Either way every
+    bar is checked at once, and the first that breaks a rule is refused by
+    name with a BarError that carries its position. ``pairs`` is the same
+    bars as PersistencePair tuples of Python int and float, built on first
+    use. Two barcodes are equal when their caps and bars, in order, are.
+    """
 
-    def __post_init__(self):
-        cap = self.max_filtration
+    def __init__(self, pairs: Iterable[tuple[int, float, float]], max_filtration: float):
+        dims, births, deaths = list(zip(*pairs)) or ((), (), ())
+        self._set(np.array(dims), np.array(births, dtype=float), np.array(deaths, dtype=float),
+                  max_filtration)
+
+    @classmethod
+    def from_arrays(cls, dims: np.ndarray, births: np.ndarray, deaths: np.ndarray,
+                    max_filtration: float) -> "Barcode":
+        b = cls.__new__(cls)
+        b._set(np.asarray(dims), np.asarray(births, dtype=float),
+               np.asarray(deaths, dtype=float), max_filtration)
+        return b
+
+    def _set(self, dims, births, deaths, cap):
         check_max_filtration(cap)
-        for dim, birth, death in self.pairs:
-            if dim not in (0, 1):
-                raise InputError(f"dimension {dim}, expected 0 or 1")
-            if not 0 <= birth <= death:  # also true when either is NaN
-                raise InputError(f"death {death} and birth {birth} make an invalid "
-                                 "persistence pair; need 0 <= birth <= death")
-            if birth > cap or cap < death < math.inf:
-                raise InputError(f"birth {birth} or death {death} lies above max_filtration {cap}")
+        bad_dim = (dims != 0) & (dims != 1)
+        bad_order = ~((0 <= births) & (births <= deaths))  # also true when either is NaN
+        above = (births > cap) | ((cap < deaths) & (deaths < math.inf))
+        bad = bad_dim | bad_order | above
+        if bad.any():
+            k = int(bad.argmax())
+            dim, birth, death = dims[k], births[k], deaths[k]
+            if bad_dim[k]:
+                raise BarError(f"dimension {dim}, expected 0 or 1", k)
+            if bad_order[k]:
+                raise BarError(f"death {death} and birth {birth} make an invalid "
+                               "persistence pair; need 0 <= birth <= death", k)
+            raise BarError(f"birth {birth} or death {death} lies above max_filtration {cap}", k)
+        self.dims = dims.astype(np.int8, copy=False)
+        self.births, self.deaths = births, deaths
+        for a in (self.dims, births, deaths):
+            a.setflags(write=False)
+        self.max_filtration = cap
+
+    @cached_property
+    def pairs(self) -> tuple[PersistencePair, ...]:
+        return tuple(map(PersistencePair._make, zip(
+            self.dims.tolist(), self.births.tolist(), self.deaths.tolist())))
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.dims)
+
+    def __eq__(self, other):
+        if not isinstance(other, Barcode):
+            return NotImplemented
+        return (self.max_filtration == other.max_filtration
+                and np.array_equal(self.dims, other.dims)
+                and np.array_equal(self.births, other.births)
+                and np.array_equal(self.deaths, other.deaths))
+
+    def __repr__(self) -> str:
+        return f"Barcode({self.pairs!r}, {self.max_filtration!r})"
 
     def in_dim(self, dim: int) -> tuple[PersistencePair, ...]:
         return tuple(p for p in self.pairs if p.dim == dim)
@@ -229,7 +337,7 @@ def check_max_filtration(max_filtration: float) -> None:
 
 
 def build_vr_filtration(
-    dm: DistanceMatrix,
+    space: DistanceMatrix | PointCloud,
     max_filtration: float = DEFAULT_MAX_FILTRATION,
     reuse: dict | None = None,
 ) -> Filtration:
@@ -240,11 +348,17 @@ def build_vr_filtration(
     exceeds the cap are omitted. The result holds only arrays, no
     per-simplex objects.
 
+    The edges come from space's own listing, edges_within(max_filtration):
+    a DistanceMatrix reads them off its n x n entries, a PointCloud measures
+    only the pairs its x sweep finds near enough, so it never fills an
+    n x n distance matrix. Both give the same edges and values, bit for bit.
+
     Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
     k > j of j, as a candidate that is kept when (i, k) is an edge too. The
     enumeration yields each triangle's facets (ab, ac, bc) as positions in
     the (i, j) order of the edges: ab and bc from the positions of (i, j)
-    and (j, k), ac from an n x n table of edge positions. These triples, in
+    and (j, k), ac from an n x n table of edge positions, the one term of
+    the build that grows as n^2 whatever the cap. These triples, in
     candidate order, are the edge set's skeleton: which triangles there are
     depends only on the edges, not on their lengths. Ordering the skeleton
     by the distances gives the Filtration's facets: triangles are ordered by
@@ -274,14 +388,9 @@ def build_vr_filtration(
     holding 24 bytes per triangle; 2 GiB would be passed near 31M.
     """
     check_max_filtration(max_filtration)
-    d, n = dm.d, dm.n
-    # The edges (i, j), i < j, in (i, j) order, and their flat ids i * n + j.
-    flat = np.flatnonzero(d <= max_filtration)
-    i, j = np.divmod(flat, n)
-    upper = i < j
-    flat = flat[upper]
-    i = i[upper]
-    j = j[upper]
+    n = len(space)
+    i, j, edge_values = space.edges_within(max_filtration)
+    flat = i * n + j
     m = len(flat)
     id_type = np.min_scalar_type(m)
     # (n, flat ids, None or (skeleton, grouping)); out of reuse while a build runs
@@ -306,7 +415,6 @@ def build_vr_filtration(
         reuse["edge_set"] = entry
     # A stable sort by value gives the (value, vertices) order; pos[p] is
     # the filtration index of the edge at (i, j) position p.
-    edge_values = d[i, j]
     order = np.argsort(edge_values, kind="stable")
     values = edge_values[order]
     pos = np.empty(m, dtype=id_type)
@@ -337,7 +445,8 @@ def build_vr_filtration(
                       float(max_filtration), cofaces)
 
 
-_GATHER_CHUNK = 1 << 16  # indices _gather casts to intp at a time
+_GATHER_CHUNK = 1 << 13  # indices _gather casts to intp at a time: 64 KiB, under
+# glibc's 128 KiB mmap threshold, so the copy is not mapped and unmapped anew
 
 
 def _gather(a: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -449,12 +558,12 @@ def compute_persistence(f: Filtration) -> Barcode:
     The pairing equals that of the standard boundary reduction in (value,
     dim, vertices) order. Only bars with death > birth are reported: a
     zero-length bar, such as every apparent pair's, is not a hole or a
-    component at any scale.
+    component at any scale. The bars are filled as arrays and ordered by
+    (dim, birth, death) with one np.lexsort; no per-bar object is built.
     """
     n, edges = f.n_vertices, f.edges
     edge_values, tri_values = f.edge_values, f.triangle_values
     m = len(edge_values)
-    pairs = []
 
     parent = list(range(n))
     forest = []
@@ -474,9 +583,8 @@ def compute_persistence(f: Filtration) -> Barcode:
             components -= 1
             if components == 1:
                 break
-    deaths = edge_values[forest]
-    pairs += [PersistencePair(0, 0.0, x) for x in deaths[deaths > 0.0].tolist()]
-    pairs += [PersistencePair(0, 0.0, math.inf)] * components
+    h0_deaths = edge_values[forest]
+    h0_deaths = np.concatenate([h0_deaths[h0_deaths > 0.0], np.full(components, math.inf)])
 
     # Each edge's coboundary as intp rows, which numpy indexes far faster
     # than smaller types, and its earliest coface, n_tris for none.
@@ -521,6 +629,7 @@ def compute_persistence(f: Filtration) -> Barcode:
     todo[forest] = False
     todo[apparent_edges] = False
     todo = np.flatnonzero(todo)[::-1]
+    pivots = []  # each column's pivot once reduced, n_tris for none
     for e, pivot in zip(todo.tolist(), earliest[todo].tolist()):
         owner = pivot_owner.item(pivot)
         if owner >= 0:
@@ -537,16 +646,17 @@ def compute_persistence(f: Filtration) -> Barcode:
             if pivot < n_tris:
                 col[pivot:n_tris] = False
                 records[e] = record
-        birth = float(edge_values[e])
         if pivot < n_tris:
             pivot_owner[pivot] = e
-            death = float(tri_values[pivot])
-        else:
-            death = math.inf
-        if death > birth:
-            pairs.append(PersistencePair(1, birth, death))
-    pairs.sort()
-    return Barcode(tuple(pairs), f.max_filtration)
+        pivots.append(pivot)
+    h1_births = edge_values[todo]
+    h1_deaths = np.append(tri_values, math.inf)[pivots]
+    h1 = h1_deaths > h1_births
+    dims = np.repeat(np.array([0, 1], dtype=np.int8), [len(h0_deaths), np.count_nonzero(h1)])
+    births = np.concatenate([np.zeros(len(h0_deaths)), h1_births[h1]])
+    deaths = np.concatenate([h0_deaths, h1_deaths[h1]])
+    order = np.lexsort((deaths, births, dims))
+    return Barcode.from_arrays(dims[order], births[order], deaths[order], f.max_filtration)
 
 
 def _group_cofaces(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -569,16 +679,11 @@ def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:
     """
     if not 0 <= eps <= b.max_filtration:
         raise InputError(f"scale {eps} outside [0, {b.max_filtration}]")
-    counts = [0, 0]
-    for p in b.pairs:
-        if p.birth <= eps < p.death:
-            counts[p.dim] += 1
-    return counts[0], counts[1]
+    alive = (b.births <= eps) & (eps < b.deaths)
+    return tuple(int(np.count_nonzero(alive & (b.dims == dim))) for dim in (0, 1))
 
 
 def barcode_from_cloud(pc: PointCloud, max_filtration: float = DEFAULT_MAX_FILTRATION,
                        reuse: dict | None = None) -> Barcode:
-    """Convenience: distance matrix -> VR filtration (reuse as there) -> barcode."""
-    dm = compute_distance_matrix(pc)
-    f = build_vr_filtration(dm, max_filtration, reuse)
-    return compute_persistence(f)
+    """Convenience: cloud -> VR filtration (reuse as there) -> barcode."""
+    return compute_persistence(build_vr_filtration(pc, max_filtration, reuse))

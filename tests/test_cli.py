@@ -516,13 +516,30 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
 
 
 def test_out_of_memory_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
-    def exhausted(pc):
+    def exhausted(pc, cap):
         raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (11585, 11585)")
-    monkeypatch.setattr(topology, "compute_distance_matrix", exhausted)
+    monkeypatch.setattr(topology.PointCloud, "edges_within", exhausted)
     assert run(["run-all", "--seed", 1, "--out-dir", tmp_path / "out"]) == 1
     err = capsys.readouterr().err
     assert err == ("input error: out of memory: Unable to allocate 1.00 GiB for an array "
                    "with shape (11585, 11585)\n")
+
+
+def test_edge_candidate_limit_exits_one_and_writes_nothing(tmp_path, capsys):
+    # 5,800 blocks on one vertical line: the x sweep would measure
+    # C(5800, 2) pairs, above topology.MAX_EDGE_CANDIDATES
+    cloud = topology.PointCloud(tuple(f"b{k}" for k in range(5800)),
+                                np.column_stack([np.zeros(5800), 0.001 * np.arange(5800)]))
+    dataio.write_sequence(dataio.SnapshotSequence((0, 1, 2), (cloud,) * 3), tmp_path / "data")
+    out = tmp_path / "out"
+    assert run(["run-all", "--manifest", tmp_path / "data" / "manifest.json",
+                "--max-filtration", 0.01, "--split", 1, "--out-dir", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "input error: [compute-ph] [persistence event 0] 5800 blocks at max_filtration 0.01 "
+        f"give 16817100 block pairs within the cap in x, above the limit of "
+        f"{topology.MAX_EDGE_CANDIDATES}; lower the cap\n")
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 @pytest.mark.parametrize("command", ["compute-ph", "run-all"])

@@ -263,6 +263,16 @@ def test_barcode_bar_above_the_cap_rejected(tmp_path, cap, row):
                               f"max_filtration {float(cap)}")
 
 
+def test_barcode_refusal_names_the_line_of_the_first_bad_bar(tmp_path):
+    # blank lines are skipped, and a later bad bar does not hide this one
+    path = tmp_path / "bc.csv"
+    path.write_text("# max_filtration=5.0\ndim,birth,death\n0,0.0,inf\n\n0,0.0,1.0\n"
+                    "2,1.0,2.0\n0,2.0,1.0\n")
+    with pytest.raises(InputError) as exc:
+        dataio.read_barcode(path)
+    assert str(exc.value) == f"{path}:6: dimension 2, expected 0 or 1"
+
+
 def test_barcode_bar_at_the_cap_accepted(tmp_path):
     path = tmp_path / "bc.csv"
     path.write_text("# max_filtration=5.0\ndim,birth,death\n0,0.0,inf\n1,5.0,inf\n0,0.0,5.0\n")

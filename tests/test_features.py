@@ -1,11 +1,15 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import reference_features
 from tunneltda.errors import InputError
 from tunneltda.features import extract_features, feature_matrix, feature_series
-from tunneltda.topology import Barcode, PersistencePair
+from tunneltda.synth import ScenarioConfig, generate_sequence
+from tunneltda.topology import Barcode, PersistencePair, barcode_from_cloud
 
 from conftest import INF, bars
 
@@ -140,3 +144,41 @@ def test_no_holes_gives_zero_f8_column():
     b = bars((0, 0.0, INF), (0, 0.0, 2.0), cap=10.0)
     matrix = feature_matrix(feature_series([b] * 4))
     assert np.all(matrix[:, 7] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the array extraction against the per-bar reference
+
+@st.composite
+def tied_barcodes(draw):
+    """Barcodes in no particular order whose bars tie: a few births and
+    deaths, each drawn from a small set or anywhere up to the cap, with
+    censored bars (inf, or a death at the cap), empty dimensions and signed
+    zeros."""
+    cap = draw(st.sampled_from([1.0, 2.5, 6.0, 30.0]))
+    grid = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1.75, 2.5])
+    pairs = []
+    for _ in range(draw(st.integers(0, 25))):
+        birth = min(draw(st.one_of(grid, st.floats(0.0, cap))), cap)
+        death = draw(st.one_of(st.just(math.inf), st.just(cap), st.just(birth),
+                               grid.filter(lambda d: birth <= d <= cap),
+                               st.floats(birth, cap)))
+        pairs.append(PersistencePair(draw(st.sampled_from((0, 1))), birth, death))
+    return Barcode(pairs, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_barcodes())
+def test_array_features_equal_per_bar_reference(b):
+    got, want = astuple(extract_features(b)), astuple(reference_features.extract_features(b))
+    assert [type(v) for v in got] == [type(v) for v in want]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_array_features_equal_reference_on_ring_and_rubble():
+    clouds = [(c, 30.0) for c in generate_sequence(ScenarioConfig(seed=7)).clouds]
+    clouds += [(c, 8.0) for c in generate_sequence(ScenarioConfig(seed=1009)).clouds]
+    for cloud, cap in clouds:
+        b = barcode_from_cloud(cloud, cap)
+        got, want = extract_features(b), reference_features.extract_features(b)
+        assert [repr(v) for v in astuple(got)] == [repr(v) for v in astuple(want)]

@@ -10,6 +10,7 @@ clouds and on degenerate ones.
 
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -20,9 +21,9 @@ from tunneltda import pipeline, topology
 from tunneltda.dataio import SnapshotSequence
 from tunneltda.errors import InputError
 from tunneltda.synth import ScenarioConfig, generate_sequence
-from tunneltda.topology import (MAX_TRIANGLE_CANDIDATES, Filtration, PersistencePair,
-                                build_vr_filtration, compute_distance_matrix,
-                                compute_persistence)
+from tunneltda.topology import (MAX_EDGE_CANDIDATES, MAX_TRIANGLE_CANDIDATES, Filtration,
+                                PersistencePair, barcode_from_cloud, build_vr_filtration,
+                                compute_distance_matrix, compute_persistence)
 
 from conftest import make_cloud
 from oracle import rank_function_barcode
@@ -33,14 +34,16 @@ FILTRATION_ARRAYS = ("edges", "edge_values", "triangles", "triangle_values")
 
 
 def assert_filtration_matches_reference(cloud, cap):
-    """Distances and all four filtration arrays == the reference's, exactly."""
+    """Distances and all four filtration arrays, built from the distance
+    matrix and from the cloud, == the reference's, exactly."""
     dm, ref_dm = compute_distance_matrix(cloud), reference_distance_matrix(cloud)
     assert np.array_equal(dm.d, ref_dm.d)
     f, ref = build_vr_filtration(dm, cap), reference_filtration(ref_dm, cap)
-    for name in FILTRATION_ARRAYS:
-        got, want = getattr(f, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.shape == want.shape, name
-        assert np.array_equal(got, want), name
+    for built in (f, build_vr_filtration(cloud, cap)):
+        for name in FILTRATION_ARRAYS:
+            got, want = getattr(built, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
     return f
 
 
@@ -224,6 +227,108 @@ def test_triangle_limit_fails_before_allocating():
     assert peak < 8 * 2 ** 20
     assert reuse == {}
     assert build_vr_filtration(square, 2.0, reuse).cofaces is None
+
+
+# ---------------------------------------------------------------------------
+# the cloud's x-sweep edge listing against the dense one
+
+def assert_cloud_lists_dense_edges(cloud, cap):
+    """PointCloud.edges_within == DistanceMatrix.edges_within: the same
+    (i, j) in the same order and types, and the same value bits."""
+    got, want = cloud.edges_within(cap), compute_distance_matrix(cloud).edges_within(cap)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    return got
+
+
+@st.composite
+def clouds_and_caps(draw):
+    """Random clouds, tied quarter-metre grids and clouds of coincident
+    blocks, one block up, shifted by up to 1e6; the cap is exactly one of
+    the cloud's distances (a tied one on a grid), a fraction of the
+    largest, or covers the cloud."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "grid", "coincident"]))
+    if kind == "random":
+        local = draw(st.lists(st.tuples(st.floats(-50, 50), st.floats(-50, 50)),
+                              min_size=n, max_size=n))
+    else:
+        side = 8 if kind == "grid" else 2
+        local = [(0.25 * x, 0.25 * y) for x, y in draw(st.lists(
+            st.tuples(st.integers(0, side), st.integers(0, side)), min_size=n, max_size=n))]
+    ox, oy = draw(st.sampled_from([0.0, 1e6, -1e6])), draw(st.floats(-1e6, 1e6))
+    cloud = make_cloud([(ox + x, oy + y) for x, y in local])
+    d = compute_distance_matrix(cloud).d
+    choice = draw(st.sampled_from(["pair", "fraction", "covering"]))
+    if choice == "pair":
+        cap = float(d[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))])
+    elif choice == "fraction":
+        cap = draw(st.floats(0.05, 1.0)) * float(d.max())
+    else:
+        cap = 2.0 * float(d.max()) + 1.0
+    return cloud, cap if cap > 0 else 0.25
+
+
+@settings(max_examples=300, deadline=None)
+@given(clouds_and_caps())
+def test_cloud_lists_the_dense_edges(spec):
+    assert_cloud_lists_dense_edges(*spec)
+
+
+def test_cloud_lists_the_dense_edges_on_ring_and_tied_grid():
+    clouds = [(c, 30.0) for c in generate_sequence(ScenarioConfig(seed=7)).clouds]
+    clouds += [(c, 8.0) for c in generate_sequence(ScenarioConfig(seed=1009)).clouds]
+    for cap in (0.25, 0.5, 0.25 * math.sqrt(2), 1.0):  # each one of the grid's tied distances
+        clouds.append((tied_grid_cloud(), cap))
+    for cloud, cap in clouds:
+        assert_cloud_lists_dense_edges(cloud, cap)
+
+
+def test_cloud_measures_only_pairs_near_in_x():
+    # (1e200)^2 overflows. Blocks 1e200 apart in x at cap 1 are never
+    # measured: three open components, where the dense matrix is refused.
+    # At cap 1e300 they are candidates, and the overflow is refused as there.
+    cloud = make_cloud([(0, 0), (1e200, 0), (-1e200, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = barcode_from_cloud(cloud, 1.0)
+        assert b.pairs == (PersistencePair(0, 0.0, math.inf),) * 3
+        for build in (lambda: barcode_from_cloud(cloud, 1e300),
+                      lambda: compute_distance_matrix(cloud)):
+            with pytest.raises(InputError, match="^distances must be finite$"):
+                build()
+
+
+def test_edge_candidate_limit_fails_before_allocating():
+    # 5,800 blocks on one vertical line: every pair is a candidate of the x
+    # sweep, C(5800, 2) = 16,817,100 of them, ~1 GiB to measure
+    cloud = make_cloud([(0.0, 0.001 * k) for k in range(5800)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=f"^5800 blocks at max_filtration 0.01 give "
+                                             f"16817100 block pairs within the cap in x, "
+                                             f"above the limit of {MAX_EDGE_CANDIDATES}; "
+                                             f"lower the cap$"):
+            barcode_from_cloud(cloud, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_sparse_cloud_memory_follows_the_cap():
+    # 4,000 blocks, one per square metre, at cap 1.5: ~14k edges. The dense
+    # matrices took 259 MiB; what is left is the n x n edge-index table of
+    # the triangle enumeration, 30.5 MiB in 16 bits.
+    rng = np.random.default_rng(4000)
+    cloud = make_cloud(rng.uniform(0.0, math.sqrt(4000), size=(4000, 2)))
+    tracemalloc.start()
+    try:
+        barcode_from_cloud(cloud, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

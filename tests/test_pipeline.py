@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -228,9 +229,12 @@ def test_compute_barcodes_calls_barcode_from_cloud_once_per_snapshot(monkeypatch
 
 
 def test_barcode_dir_reads_only_ascii_digits(tmp_path):
-    # \d would read barcode_١.csv (ARABIC-INDIC DIGIT ONE) as event 1
+    # \d would read barcode_١.csv (ARABIC-INDIC DIGIT ONE) as event 1. The
+    # name is made from its UTF-8 bytes, so it exists under an ASCII
+    # file-system encoding too.
     for name in ("barcode_000.csv", "barcode_\u0661.csv"):
-        (tmp_path / name).write_text("# max_filtration=30.0\ndim,birth,death\n0,0.0,inf\n")
+        with open(os.fsencode(tmp_path) + b"/" + name.encode("utf-8"), "wb") as fh:
+            fh.write(b"# max_filtration=30.0\ndim,birth,death\n0,0.0,inf\n")
     assert len(pipeline.read_barcode_dir(tmp_path)) == 1
 
 

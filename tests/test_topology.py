@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tunneltda.errors import InputError
+from tunneltda.errors import BarError, InputError
 from tunneltda.topology import (
     Barcode, FiltSimplex, PersistencePair,
     PointCloud, barcode_from_cloud, betti_numbers, boundary, boundary_of_chain,
@@ -281,3 +281,41 @@ def test_barcode_cap_must_be_positive_and_finite(cap):
     with pytest.raises(InputError) as exc:
         Barcode((PersistencePair(0, 0.0, math.inf),), cap)
     assert str(exc.value) == f"max_filtration must be positive and finite, got {cap}"
+
+
+def test_barcode_from_arrays_equals_barcode_from_pairs():
+    pairs = [(1, 2.0, 4.0), (0, 0.0, math.inf), (0, 0.0, 1.5)]
+    from_pairs = Barcode(pairs, 5.0)
+    from_arrays = Barcode.from_arrays(np.array([1, 0, 0], dtype=np.int8),
+                                      np.array([2.0, 0.0, 0.0]), np.array([4.0, math.inf, 1.5]),
+                                      5.0)
+    assert from_pairs == from_arrays
+    assert from_pairs.pairs == from_arrays.pairs == tuple(pairs)
+    assert from_pairs != Barcode(pairs[::-1], 5.0)  # bars are held in the order given
+    assert from_pairs != Barcode(pairs, 6.0)
+    assert len(from_arrays) == 3
+    assert from_arrays.in_dim(0) == (PersistencePair(0, 0.0, math.inf),
+                                     PersistencePair(0, 0.0, 1.5))
+    for a in (from_arrays.dims, from_arrays.births, from_arrays.deaths):
+        assert not a.flags.writeable
+
+
+def test_barcode_pairs_hold_python_numbers(square_barcode):
+    # repr of a numpy float is np.float64(...) under numpy 2, which the
+    # bars' text would carry
+    from_arrays = Barcode.from_arrays(np.array([0, 1]), np.array([0.0, 1.0]),
+                                      np.array([math.inf, 2.0]), 3.0)
+    for b in (square_barcode, from_arrays, Barcode([(0.0, 0, 1)], 2.0)):
+        for p in b.pairs:
+            assert (type(p.dim), type(p.birth), type(p.death)) == (int, float, float)
+    assert repr(square_barcode.pairs[-1]) == \
+        "PersistencePair(dim=1, birth=1.0, death=1.4142135623730951)"
+
+
+def test_barcode_names_its_first_bad_bar():
+    # the second bar breaks two rules and the third another: the message
+    # is that of the second bar's first rule, and the error carries its place
+    with pytest.raises(BarError) as exc:
+        Barcode.from_arrays(np.array([0, 2, 1]), np.array([0.0, 3.0, 1.0]),
+                            np.array([1.0, 2.0, 0.5]), 5.0)
+    assert (str(exc.value), exc.value.index) == ("dimension 2, expected 0 or 1", 1)
