@@ -56,35 +56,39 @@ class PointCloud:
         """The block pairs i < j at distance <= cap, in (i, j) order, and
         their distances, as (i, j, values).
 
-        The candidates come from a sweep in x order: each block's are the
-        blocks after it whose x is at most its own plus cap * (1 + 1e-12), a
-        margin that only adds candidates against rounding. A candidate's
-        distance is sqrt((x_i - x_j)^2 + (y_i - y_j)^2) in the operation
-        order of compute_distance_matrix, so values equal its entries bit for
-        bit; pairs outside every window are never measured. The candidates
-        are counted first, and more than MAX_EDGE_CANDIDATES (2^24, about
-        16.8M, at up to 64 bytes each: 1 GiB) raise InputError before any
-        is built. A candidate whose distance overflows raises InputError
+        The candidates come from a sweep along the axis, x or y, whose
+        coordinates spread wider (np.ptp; x on a tie): each block's are the
+        blocks after it in that order whose coordinate is at most its own
+        plus cap * (1 + 1e-12), a margin that only adds candidates against
+        rounding. A candidate's distance is sqrt((x_i - x_j)^2 + (y_i -
+        y_j)^2) with i < j, in the operation order of compute_distance_matrix,
+        so values equal its entries bit for bit whichever axis is swept;
+        pairs outside every window are never measured. The candidates are
+        counted first, and more than MAX_EDGE_CANDIDATES (2^24, at up to 64
+        bytes each: 1 GiB) raise InputError, naming the swept axis, before
+        any is built. A candidate whose distance overflows raises InputError
         too.
         """
         n = len(self.ids)
         x, y = self.xy[:, 0], self.xy[:, 1]
-        by_x = np.argsort(x, kind="stable")
-        xs = x[by_x]
-        # the blocks at x-order positions p + 1 .. end[p] - 1 are p's candidates
         with np.errstate(over="ignore"):
-            end = np.searchsorted(xs, xs + cap * (1 + 1e-12), side="right")
+            axis = int(np.ptp(y) > np.ptp(x))
+            by_s = np.argsort(self.xy[:, axis], kind="stable")
+            s = self.xy[by_s, axis]
+            # the blocks at sweep positions p + 1 .. end[p] - 1 are p's candidates
+            end = np.searchsorted(s, s + cap * (1 + 1e-12), side="right")
         after = np.arange(1, n + 1)
         counts = end - after
         candidates = int(counts.sum())
         if candidates > MAX_EDGE_CANDIDATES:
             raise InputError(
                 f"{n} blocks at max_filtration {cap:g} give {candidates} block pairs within "
-                f"the cap in x, above the limit of {MAX_EDGE_CANDIDATES}; lower the cap")
+                f"the cap in {'xy'[axis]}, above the limit of {MAX_EDGE_CANDIDATES}; "
+                "lower the cap")
         p = np.repeat(np.arange(n), counts)
         q = np.repeat(after - (np.cumsum(counts) - counts), counts)
         q += np.arange(candidates)
-        a, b = by_x[p], by_x[q]
+        a, b = by_s[p], by_s[q]
         del p, q
         i, j = np.minimum(a, b), np.maximum(a, b)
         del a, b
@@ -244,7 +248,8 @@ class Barcode:
     feature extraction clamps such deaths to the cap.
 
     The bars are held as three read-only arrays of one entry per bar, in the
-    order given: dims (int8), births and deaths (float64).
+    order given: dims (int8), births and deaths (float64), which
+    extract_features, betti_numbers and write_barcode read.
     Barcode(pairs, max_filtration) takes (dim, birth, death) triples;
     from_arrays takes the arrays and makes them read-only. Either way every
     bar is checked at once, and the first that breaks a rule is refused by
@@ -350,7 +355,7 @@ def build_vr_filtration(
 
     The edges come from space's own listing, edges_within(max_filtration):
     a DistanceMatrix reads them off its n x n entries, a PointCloud measures
-    only the pairs its x sweep finds near enough, so it never fills an
+    only the pairs its sweep finds near enough, so it never fills an
     n x n distance matrix. Both give the same edges and values, bit for bit.
 
     Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
@@ -374,18 +379,15 @@ def build_vr_filtration(
     skeleton and its coface grouping, built once; later repeats skip the
     enumeration. Each repeat hands compute_persistence the grouping in its
     own triangle order (Filtration.cofaces), so the reduction sorts no facets.
+    The entry is out of reuse while a build runs, so one that fails leaves none.
 
     The cap must be positive and finite. The candidates are counted before
-    any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24, about 16.8M)
-    raise InputError. With a cap covering the cloud every candidate is a
-    triangle. Measured with tracemalloc at covering caps, the filtration's
-    own arrays and the entry in reuse included: at n = 150 and 250 a new
-    edge set peaks at about 33 bytes per triangle in the build and 63 in the
-    reduction that follows, the first repeat at about 55 and 49 and later
-    ones at 50 and 49, of which the entry holds 18 (skeleton 6, grouping
-    12). At the limit (n = 466, 16.76M triangles, 32-bit ids) a new edge set
-    peaks at 1.07 GiB, in the reduction, and a repeat at 0.96 GiB, the entry
-    holding 24 bytes per triangle; 2 GiB would be passed near 31M.
+    any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24) raise
+    InputError; a cap covering the cloud makes every candidate a triangle,
+    so it takes at most n = 466. Memory is O(n^2 + edges + candidates),
+    never O(n^3): the n x n table, a few tens of bytes per triangle in the
+    build and in the reduction that follows (about 1 GiB at the limit), and
+    the entry in reuse, the skeleton and grouping in the smallest types.
     """
     check_max_filtration(max_filtration)
     n = len(space)
@@ -527,20 +529,21 @@ def compute_persistence(f: Filtration) -> Barcode:
     H0: Kruskal union-find over the sorted edges, with path halving. An edge
     that joins two components kills one of them; these edges form the
     minimum spanning forest and pair with vertices, so their H1 columns are
-    cleared (Chen & Kerber 2011).
+    cleared (Chen & Kerber, Persistent homology computation with a twist,
+    2011).
 
     H1: the coboundaries of the remaining edges are reduced in reverse
     filtration order, each column's pivot being its earliest triangle (de
-    Silva, Morozov & Vejdemo-Johansson 2011; Bauer, Ripser, 2021). Each
-    edge's cofaces come from f.cofaces when the build gives them (a repeated
-    edge set). Otherwise a stable argsort groups the facets,
-    which lists each edge's cofaces ascending, so the earliest comes first;
-    f.cofaces lists them in no order, so the earliest of each group is its
-    minimum, from np.minimum.reduceat. An edge that is the latest facet of
-    its earliest coface is an apparent pair, found with one triangle read
-    per edge: its column is already reduced and is read from the
-    coboundary, never stored. A column whose earliest coface has no owner
-    is paired at once. The others are reduced on one reused bool working
+    Silva, Morozov & Vejdemo-Johansson, Dualities in persistent (co)homology,
+    2011; Bauer, Ripser, JACT 2021). f.facets are read as they are, with no
+    lookup by vertex pair. Each edge's cofaces come from f.cofaces when the
+    build gives them (a repeated edge set), in no order, so the earliest of
+    each group is its minimum, from np.minimum.reduceat; otherwise a stable
+    argsort of the facets lists them ascending. An edge that is the latest
+    facet of its earliest coface is an apparent pair, found with one
+    triangle read per edge: its column is already reduced and is read from
+    the coboundary, never stored. A column whose earliest coface has no
+    owner is paired at once. The others are reduced on one reused bool working
     column of n_tris + 1 entries, whose last entry, a sentinel, is always
     True. The pivot only grows, so the next one is the first True entry at
     or after it: argmax on bools stops there, and on a column reduced to
@@ -557,9 +560,10 @@ def compute_persistence(f: Filtration) -> Barcode:
 
     The pairing equals that of the standard boundary reduction in (value,
     dim, vertices) order. Only bars with death > birth are reported: a
-    zero-length bar, such as every apparent pair's, is not a hole or a
-    component at any scale. The bars are filled as arrays and ordered by
-    (dim, birth, death) with one np.lexsort; no per-bar object is built.
+    zero-length bar, in dim 0 from coincident blocks and in dim 1 from every
+    apparent pair and every triangle that fills its cycle as it closes, is
+    not a hole or a component at any scale. The bars are filled as arrays,
+    no per-bar object, and ordered by (dim, birth, death) with np.lexsort.
     """
     n, edges = f.n_vertices, f.edges
     edge_values, tri_values = f.edge_values, f.triangle_values

@@ -12,6 +12,8 @@ import pytest
 from tunneltda import dataio, features, lssvm, pipeline, topology
 from tunneltda.cli import main
 
+from conftest import plus_cloud
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -526,18 +528,16 @@ def test_out_of_memory_exits_one_without_a_traceback(tmp_path, capsys, monkeypat
 
 
 def test_edge_candidate_limit_exits_one_and_writes_nothing(tmp_path, capsys):
-    # 5,800 blocks on one vertical line: the x sweep would measure
-    # C(5800, 2) pairs, above topology.MAX_EDGE_CANDIDATES
-    cloud = topology.PointCloud(tuple(f"b{k}" for k in range(5800)),
-                                np.column_stack([np.zeros(5800), 0.001 * np.arange(5800)]))
+    # the x sweep would measure more than topology.MAX_EDGE_CANDIDATES pairs
+    cloud = plus_cloud()
     dataio.write_sequence(dataio.SnapshotSequence((0, 1, 2), (cloud,) * 3), tmp_path / "data")
     out = tmp_path / "out"
     assert run(["run-all", "--manifest", tmp_path / "data" / "manifest.json",
                 "--max-filtration", 0.01, "--split", 1, "--out-dir", out]) == 1
     captured = capsys.readouterr()
     assert captured.err == (
-        "input error: [compute-ph] [persistence event 0] 5800 blocks at max_filtration 0.01 "
-        f"give 16817100 block pairs within the cap in x, above the limit of "
+        "input error: [compute-ph] [persistence event 0] 11600 blocks at max_filtration 0.01 "
+        f"give 16991045 block pairs within the cap in x, above the limit of "
         f"{topology.MAX_EDGE_CANDIDATES}; lower the cap\n")
     assert [p for p in out.rglob("*") if p.is_file()] == []
 

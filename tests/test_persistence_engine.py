@@ -25,7 +25,7 @@ from tunneltda.topology import (MAX_EDGE_CANDIDATES, MAX_TRIANGLE_CANDIDATES, Fi
                                 PersistencePair, barcode_from_cloud, build_vr_filtration,
                                 compute_distance_matrix, compute_persistence)
 
-from conftest import make_cloud
+from conftest import make_cloud, plus_cloud
 from oracle import rank_function_barcode
 from reference_filtration import facets_of, reference_distance_matrix, reference_filtration
 from reference_reduction import reference_persistence
@@ -230,7 +230,7 @@ def test_triangle_limit_fails_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# the cloud's x-sweep edge listing against the dense one
+# the cloud's sweep edge listing against the dense one
 
 def assert_cloud_lists_dense_edges(cloud, cap):
     """PointCloud.edges_within == DistanceMatrix.edges_within: the same
@@ -300,13 +300,12 @@ def test_cloud_measures_only_pairs_near_in_x():
 
 
 def test_edge_candidate_limit_fails_before_allocating():
-    # 5,800 blocks on one vertical line: every pair is a candidate of the x
-    # sweep, C(5800, 2) = 16,817,100 of them, ~1 GiB to measure
-    cloud = make_cloud([(0.0, 0.001 * k) for k in range(5800)])
+    # 16,991,045 candidates in x, ~1 GiB to measure
+    cloud = plus_cloud()
     tracemalloc.start()
     try:
-        with pytest.raises(InputError, match=f"^5800 blocks at max_filtration 0.01 give "
-                                             f"16817100 block pairs within the cap in x, "
+        with pytest.raises(InputError, match=f"^11600 blocks at max_filtration 0.01 give "
+                                             f"16991045 block pairs within the cap in x, "
                                              f"above the limit of {MAX_EDGE_CANDIDATES}; "
                                              f"lower the cap$"):
             barcode_from_cloud(cloud, 0.01)
@@ -314,6 +313,19 @@ def test_edge_candidate_limit_fails_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_line_is_swept_along_its_spread():
+    # 5,800 blocks on a vertical line are swept in y and its 90-degree
+    # rotation in x: the same edges, index for index and bit for bit, and
+    # the same barcode
+    line = make_cloud([(0.0, 0.001 * k) for k in range(5800)])
+    turned = make_cloud(np.column_stack([-line.xy[:, 1], line.xy[:, 0]]))
+    got, want = line.edges_within(0.01), turned.edges_within(0.01)
+    assert len(got[0]) == 54782
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    assert barcode_from_cloud(line, 0.01) == barcode_from_cloud(turned, 0.01)
 
 
 def test_sparse_cloud_memory_follows_the_cap():
