@@ -21,11 +21,21 @@ Formats (all UTF-8 text, whatever the locale; numbers in full round-trip precisi
             ``warning.json`` and the ``--out`` of train-predict and warn),
             written by ``write_json``
 
-Every file is read by ``_read_text`` and written by ``_write_text``; every CSV
-table goes through ``write_table`` and ``_read_table``. A missing file, malformed
+Every file is read by ``_read_text``, which drops one UTF-8 byte-order mark at
+its start, and written by ``_write_text``, which writes none; every CSV table
+goes through ``write_table`` and ``_read_table``. A missing file, malformed
 content or text that is not UTF-8 raises InputError naming the file; a path that
 cannot be read or written raises the OSError as it comes, and the command line
 reports that as an input error too.
+
+Readers only parse: ``_read_table`` converts each column with its converter,
+and ``PointCloud`` and ``Barcode`` judge the values, raising an EntryError whose
+position the reader turns into a line. Within a file the first fault in this
+order is reported: the file itself (missing, or not UTF-8); the preamble and
+header; the field count, by line; the first row that does not convert
+(``path:line: malformed <kind> row``), then the barcode's cap value; the type's
+own rules (the cap before any bar, a snapshot's first repeated id before its
+first non-finite block, the features' event column).
 """
 
 from __future__ import annotations
@@ -36,10 +46,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BarError, InputError
+from .errors import EntryError, InputError
 from .features import FeatureVector
 from .lssvm import KernelSpec, LssvmModel
-from .topology import Barcode, PointCloud, check_max_filtration
+from .topology import Barcode, PointCloud
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +70,8 @@ def _write_text(path: str | Path, text: str) -> None:
 def _read_text(path: Path, kind: str) -> str:
     if not path.exists():
         raise InputError(f"{kind} file not found: {path}")
-    try:
-        return path.read_text(encoding="utf-8")
+    try:  # decoded before the mark is dropped, so a bad byte's offset counts from byte 0
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
@@ -81,10 +91,11 @@ def write_table(path: str | Path, header: str, rows, preamble: str | None = None
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_table(path: Path, kind: str, header: str,
-                preamble: str | None = None) -> tuple[str | None, list[tuple[int, list[str]]]]:
-    """(rest of the preamble line or None, non-blank rows as (line number,
-    fields)), each row having as many fields as the header."""
+def _read_table(path: Path, kind: str, header: str, columns,
+                preamble: str | None = None) -> tuple[str | None, list[int], list[list]]:
+    """(rest of the preamble line or None, the line numbers of the non-blank
+    rows, one list per column), each column's fields converted by its entry
+    of columns; a field that does not convert names its row."""
     lines = _read_text(path, kind).splitlines()
     value = None
     if preamble is not None:
@@ -94,18 +105,27 @@ def _read_table(path: Path, kind: str, header: str,
     header_line = 1 if preamble is None else 2
     if not lines or lines[0].strip() != header:
         raise InputError(f"{path}:{header_line}: missing header '{header}'")
-    n_fields = header.count(",") + 1
-    rows = []
+    linenos, rows = [], []
     for lineno, line in enumerate(lines[1:], start=header_line + 1):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != n_fields:
-            raise InputError(f"{path}:{lineno}: expected {n_fields} comma-separated fields")
-        rows.append((lineno, parts))
+        if len(parts) != len(columns):
+            raise InputError(f"{path}:{lineno}: expected {len(columns)} comma-separated fields")
+        linenos.append(lineno)
+        rows.append(parts)
     if not rows:
         raise InputError(f"{path}: no data rows")
-    return value, rows
+    try:
+        return value, linenos, [list(map(f, col)) for f, col in zip(columns, zip(*rows))]
+    except ValueError:
+        for lineno, parts in zip(linenos, rows):
+            try:
+                for f, v in zip(columns, parts):
+                    f(v)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: malformed {kind} row") from None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -134,25 +154,12 @@ def write_snapshot(pc: PointCloud, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> PointCloud:
     path = Path(path)
-    _, table = _read_table(path, "snapshot", SNAPSHOT_HEADER)
-    ids, coords = [], []
-    seen = set()
-    for lineno, (bid, x, y) in table:
-        bid = bid.strip()
-        if bid in seen:
-            raise InputError(f"{path}:{lineno}: duplicate block_id {bid!r}")
-        seen.add(bid)
-        ids.append(bid)
-        try:
-            coords.append((float(x), float(y)))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: non-numeric coordinate") from None
-    xy = np.array(coords)
-    finite = np.isfinite(xy).all(axis=1)
-    if not finite.all():
-        lineno = table[int(finite.argmin())][0]
-        raise InputError(f"{path}:{lineno}: coordinates must be finite")
-    return PointCloud(tuple(ids), xy)
+    _, linenos, (ids, x, y) = _read_table(path, "snapshot", SNAPSHOT_HEADER,
+                                          (str.strip, float, float))
+    try:
+        return PointCloud(tuple(ids), np.column_stack((x, y)))
+    except EntryError as exc:
+        raise InputError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +244,18 @@ def write_barcode(b: Barcode, path: str | Path) -> None:
 def read_barcode(path: str | Path) -> Barcode:
     """Barcode's rules judge the cap and each row; a refusal names file and line."""
     path = Path(path)
-    cap, table = _read_table(path, "barcode", BARCODE_HEADER, preamble=BARCODE_PREAMBLE)
+    cap, linenos, (dims, births, deaths) = _read_table(
+        path, "barcode", BARCODE_HEADER, (int, float, float), preamble=BARCODE_PREAMBLE)
     try:
         cap = float(cap)
-        check_max_filtration(cap)
-    except InputError as exc:  # before ValueError, which it subclasses
-        raise InputError(f"{path}:1: {exc}") from None
     except ValueError:
         raise InputError(f"{path}:1: malformed max_filtration value") from None
-    pairs = []
-    for lineno, (dim, birth, death) in table:
-        try:
-            pairs.append((int(dim), float(birth), float(death)))
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed persistence pair") from None
     try:
-        return Barcode(pairs, cap)
-    except BarError as exc:
-        raise InputError(f"{path}:{table[exc.index][0]}: {exc}") from None
+        return Barcode.from_arrays(np.array(dims), np.array(births), np.array(deaths), cap)
+    except EntryError as exc:
+        raise InputError(f"{path}:{linenos[exc.index]}: {exc}") from None
+    except InputError as exc:  # the cap's rule, judged before any bar
+        raise InputError(f"{path}:1: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +276,12 @@ def read_features(path: str | Path) -> tuple[list[int], np.ndarray]:
 
     The event column must run 0..n-1 in file order."""
     path = Path(path)
-    _, table = _read_table(path, "features", FEATURES_HEADER)
-    rows = []
-    for lineno, parts in table:
-        try:
-            event = int(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: malformed feature row") from None
-        if event != len(rows) - 1:
-            raise InputError(f"{path}:{lineno}: event {event} where {len(rows) - 1} was expected")
-    return list(range(len(rows))), np.array(rows)
+    _, linenos, (events, *values) = _read_table(path, "features", FEATURES_HEADER,
+                                                (int,) + (float,) * 14)
+    for k, event in enumerate(events):
+        if event != k:
+            raise InputError(f"{path}:{linenos[k]}: event {event} where {k} was expected")
+    return events, np.column_stack(values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ class InputError(ValueError):
     """Invalid user input: bad files, out-of-range parameters, malformed data."""
 
 
-class BarError(InputError):
-    """A bar that breaks a Barcode rule; index is its position among the bars."""
+class EntryError(InputError):
+    """An entry that breaks a Barcode or PointCloud rule; index is its position."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BarError, InputError
+from .errors import EntryError, InputError
 
 DEFAULT_MAX_FILTRATION = 30.0
 # Triangle candidates a filtration build may enumerate; ~1 GiB at the peak of
@@ -29,7 +29,8 @@ MAX_EDGE_CANDIDATES = 1 << 24
 class PointCloud:
     """Labeled 2-D block centroids, one snapshot of the surrounding rock.
 
-    ids are unique block labels; xy is an (n, 2) float array in meters.
+    ids are unique block labels; xy is an (n, 2) float array of finite meters.
+    An EntryError names the first repeated id, else the first non-finite block.
     """
 
     ids: tuple[str, ...]
@@ -44,10 +45,12 @@ class PointCloud:
         if xy.shape != (len(self.ids), 2):
             raise InputError(f"coordinate array has shape {xy.shape}, expected ({len(self.ids)}, 2)")
         if len(set(self.ids)) != len(self.ids):
-            dupes = sorted({b for b in self.ids if self.ids.count(b) > 1})
-            raise InputError(f"duplicate block ids: {dupes}")
-        if not np.all(np.isfinite(xy)):
-            raise InputError("coordinates must be finite")
+            first = {}
+            k = next(k for k, bid in enumerate(self.ids) if first.setdefault(bid, k) != k)
+            raise EntryError(f"duplicate block_id {self.ids[k]!r}", k)
+        finite = np.isfinite(xy).all(axis=1)
+        if not finite.all():
+            raise EntryError("coordinates must be finite", int(finite.argmin()))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -253,7 +256,7 @@ class Barcode:
     Barcode(pairs, max_filtration) takes (dim, birth, death) triples;
     from_arrays takes the arrays and makes them read-only. Either way every
     bar is checked at once, and the first that breaks a rule is refused by
-    name with a BarError that carries its position. ``pairs`` is the same
+    name with an EntryError that carries its position. ``pairs`` is the same
     bars as PersistencePair tuples of Python int and float, built on first
     use. Two barcodes are equal when their caps and bars, in order, are.
     """
@@ -281,11 +284,11 @@ class Barcode:
             k = int(bad.argmax())
             dim, birth, death = dims[k], births[k], deaths[k]
             if bad_dim[k]:
-                raise BarError(f"dimension {dim}, expected 0 or 1", k)
+                raise EntryError(f"dimension {dim}, expected 0 or 1", k)
             if bad_order[k]:
-                raise BarError(f"death {death} and birth {birth} make an invalid "
-                               "persistence pair; need 0 <= birth <= death", k)
-            raise BarError(f"birth {birth} or death {death} lies above max_filtration {cap}", k)
+                raise EntryError(f"death {death} and birth {birth} make an invalid "
+                                 "persistence pair; need 0 <= birth <= death", k)
+            raise EntryError(f"birth {birth} or death {death} lies above max_filtration {cap}", k)
         self.dims = dims.astype(np.int8, copy=False)
         self.births, self.deaths = births, deaths
         for a in (self.dims, births, deaths):

@@ -77,7 +77,7 @@ def test_snapshot_duplicate_id_names_line(tmp_path):
 def test_snapshot_non_numeric_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("block_id,x,y\na,1,2\nb,oops,4\n")
-    with pytest.raises(InputError, match=":3: non-numeric"):
+    with pytest.raises(InputError, match=":3: malformed snapshot row"):
         dataio.load_snapshot(path)
 
 
@@ -87,6 +87,20 @@ def test_snapshot_non_finite_names_line(tmp_path, token):
     path.write_text(f"block_id,x,y\na,1,2\n\nb,3,{token}\nc,{token},4\n")
     with pytest.raises(InputError, match=r"bad\.csv:4: coordinates must be finite"):
         dataio.load_snapshot(path)
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ("a,1,2\nb,nan,4\n\na,3,4\n", "5: duplicate block_id 'a'"),
+    ("a,1,2\na,3,4\nb,oops,4\n", "4: malformed snapshot row"),
+    ("a,1,2\nb,oops,4\nc,5\n", "4: expected 3 comma-separated fields"),
+], ids=["repeated-id-before-not-finite", "conversion-before-repeated-id",
+        "field-count-before-conversion"])
+def test_snapshot_with_two_faults_reports_the_first_in_order(tmp_path, rows, fault):
+    path = tmp_path / "bad.csv"
+    path.write_text("block_id,x,y\n" + rows)
+    with pytest.raises(InputError) as exc:
+        dataio.load_snapshot(path)
+    assert str(exc.value) == f"{path}:{fault}"
 
 
 def test_snapshot_empty_data(tmp_path):
@@ -513,3 +527,35 @@ def test_every_text_io_call_in_the_package_names_its_encoding():
                     and not any(k.arg == "encoding" for k in node.keywords)):
                 unnamed.append(f"{path.name}:{node.lineno}: {name}")
     assert unnamed == []
+
+
+def test_every_file_kind_reads_the_same_after_a_byte_order_mark(tmp_path):
+    cloud = make_cloud([(0.125, -3.5), (1e-9, 2.0), (4.4, 4.4)])
+    manifest = dataio.write_sequence(dataio.SnapshotSequence((0, 1), (cloud, cloud)),
+                                     tmp_path / "seq")
+    barcode = bars((0, 0.0, INF), (0, 0.0, 1.0), (1, 1.0, math.sqrt(2)), cap=2.0)
+    barcode_path, features_path = tmp_path / "barcode.csv", tmp_path / "features.csv"
+    dataio.write_barcode(barcode, barcode_path)
+    dataio.write_features([extract_features(barcode)] * 2, features_path)
+
+    def read_all():
+        snapshot = dataio.load_snapshot(manifest.parent / "snapshot_000.csv")
+        events, matrix = dataio.read_features(features_path)
+        return ([(c.ids, c.xy.tolist()) for c in dataio.load_sequence(manifest).clouds],
+                snapshot.ids, snapshot.xy.tolist(), dataio.read_barcode(barcode_path),
+                events, matrix.tolist())
+
+    files = [manifest, *manifest.parent.glob("*.csv"), barcode_path, features_path]
+    assert not any(path.read_bytes().startswith(b"\xef\xbb\xbf") for path in files)
+    before = read_all()
+    for path in files:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_all() == before
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_from_the_first_byte(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_bytes(b"\xef\xbb\xbfblock_id,x,y\n\xff,0.0,0.0\n")
+    with pytest.raises(InputError) as exc:
+        dataio.load_snapshot(path)
+    assert str(exc.value) == f"{path}: not UTF-8 text (invalid start byte at byte 16)"

@@ -47,11 +47,11 @@ def assert_filtration_matches_reference(cloud, cap):
     return f
 
 
-def tied_grid_cloud():
-    """60 blocks on a quarter-metre grid, where distances tie heavily."""
-    rng = np.random.default_rng(60)
-    cells = rng.choice(12 * 12, size=60, replace=False)
-    return make_cloud(0.25 * np.column_stack(np.divmod(cells, 12)))
+def tied_grid_cloud(n=60, side=12, seed=60):
+    """n blocks on a side x side quarter-metre grid, where distances tie heavily."""
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(side * side, size=n, replace=False)
+    return make_cloud(0.25 * np.column_stack(np.divmod(cells, side)))
 
 
 def assert_engine_matches_reference(f):
@@ -131,18 +131,24 @@ def test_engine_adds_an_owners_stored_reduction():
 def prim_mst_lengths(xy):
     """Edge lengths of a Euclidean minimum spanning tree by Prim's algorithm,
     ascending; each length is rounded as the distance matrix rounds it."""
-    def dist(i, j):
-        dx, dy = xy[i][0] - xy[j][0], xy[i][1] - xy[j][1]
-        return math.sqrt(dx * dx + dy * dy)
+    def dist(p, rest):
+        dx, dy = rest[:, 0] - p[0], rest[:, 1] - p[1]
+        return np.sqrt(dx * dx + dy * dy)
 
-    best = {v: dist(0, v) for v in range(1, len(xy))}
+    rest = np.asarray(xy, dtype=float)
+    best, rest = dist(rest[0], rest[1:]), rest[1:]  # best: each outside block's tree distance
     lengths = []
-    while best:
-        v = min(best, key=best.get)
-        lengths.append(best.pop(v))
-        for u in best:
-            best[u] = min(best[u], dist(v, u))
+    while len(rest):
+        k = int(best.argmin())
+        lengths.append(float(best[k]))
+        v = rest[k]
+        rest, best = np.delete(rest, k, axis=0), np.delete(best, k)
+        best = np.minimum(best, dist(v, rest))
     return sorted(lengths)
+
+
+RANDOM_1000 = make_cloud(np.random.default_rng(1000).uniform(-10, 10, size=(1000, 2)))
+TIED_1000 = tied_grid_cloud(1000, 50, 1001)
 
 
 @pytest.mark.parametrize("clouds, cap", [
@@ -151,7 +157,15 @@ def prim_mst_lengths(xy):
     (generate_sequence(ScenarioConfig(seed=1009)).clouds, 30.0),
     ((tied_grid_cloud(),), 1.0),
     ((tied_grid_cloud(),), 0.25),  # grid neighbours only: some tree edges lie above the cap
-], ids=["ring-seed0", "ring-seed7", "ring-seed1009", "tied-grid", "tied-grid-cap-0.25"])
+    # the longest tree edge is 1.04 (random) and sqrt(0.3125) (tied): the
+    # first cap of each connects the cloud, the second leaves 337 and 4
+    # tree edges above it
+    ((RANDOM_1000,), 1.5),
+    ((RANDOM_1000,), 0.5),
+    ((TIED_1000,), 1.0),
+    ((TIED_1000,), 0.5),
+], ids=["ring-seed0", "ring-seed7", "ring-seed1009", "tied-grid", "tied-grid-cap-0.25",
+        "random-1000", "random-1000-cap-0.5", "tied-1000", "tied-1000-cap-0.5"])
 def test_dim0_deaths_are_the_mst_edge_lengths(clouds, cap):
     for cloud in clouds:
         mst = prim_mst_lengths(cloud.xy.tolist())

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tunneltda.errors import BarError, InputError
+from tunneltda.errors import EntryError, InputError
 from tunneltda.topology import (
     Barcode, FiltSimplex, PersistencePair,
     PointCloud, barcode_from_cloud, betti_numbers, boundary, boundary_of_chain,
@@ -33,6 +33,17 @@ def test_pointcloud_rejects_nonfinite():
 def test_pointcloud_rejects_empty():
     with pytest.raises(InputError):
         PointCloud.from_rows([])
+
+
+@pytest.mark.parametrize("rows, message, index", [
+    ([("a", 0, 0), ("b", 1, 1), ("b", 2, 2), ("a", 3, 3)], "duplicate block_id 'b'", 2),
+    ([("a", 0, 0), ("b", 1, math.inf), ("c", math.nan, 2)], "coordinates must be finite", 1),
+    ([("a", 0, 0), ("b", math.nan, 1), ("a", 2, 2)], "duplicate block_id 'a'", 2),
+], ids=["repeated-id", "not-finite", "repeated-id-before-not-finite"])
+def test_pointcloud_names_its_first_bad_block(rows, message, index):
+    with pytest.raises(EntryError) as exc:
+        PointCloud.from_rows(rows)
+    assert (str(exc.value), exc.value.index) == (message, index)
 
 
 def test_distance_345_triangle():
@@ -315,7 +326,7 @@ def test_barcode_pairs_hold_python_numbers(square_barcode):
 def test_barcode_names_its_first_bad_bar():
     # the second bar breaks two rules and the third another: the message
     # is that of the second bar's first rule, and the error carries its place
-    with pytest.raises(BarError) as exc:
+    with pytest.raises(EntryError) as exc:
         Barcode.from_arrays(np.array([0, 2, 1]), np.array([0.0, 3.0, 1.0]),
                             np.array([1.0, 2.0, 0.5]), 5.0)
     assert (str(exc.value), exc.value.index) == ("dimension 2, expected 0 or 1", 1)
