@@ -41,6 +41,8 @@ first non-finite block, the features' event column).
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -303,25 +305,57 @@ def write_model(model: LssvmModel, x_mean: float, x_std: float,
         "inputs": model.inputs.tolist(),
         "classification": model.classification,
     }
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
+
+
+def _finite_number(value) -> bool:
+    # type(), not isinstance: a JSON true is a bool, which is an int; an
+    # integer past the largest float has no float value
+    return (type(value) is float and math.isfinite(value)
+            or type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def read_model(path: str | Path) -> tuple[LssvmModel, float, float]:
+    """(model, x_mean, x_std) from a file as write_model writes it: gamma,
+    bias, x_mean, x_std and kernel.sigma finite JSON numbers (sigma null for
+    a linear kernel), alphas a list of them, inputs one list of them per
+    alpha, all of one length, and classification, if given, a JSON boolean.
+    Anything else is refused by field, with the file's name."""
     path = Path(path)
     doc = _read_json(path, "model")
     try:
-        kernel = KernelSpec(doc["kernel"]["kind"], doc["kernel"].get("sigma"))
-        model = LssvmModel(
-            alphas=np.array(doc["alphas"], dtype=float),
-            bias=float(doc["bias"]),
-            gamma=float(doc["gamma"]),
-            kernel=kernel,
-            inputs=np.array(doc["inputs"], dtype=float),
-            classification=bool(doc.get("classification", False)),
-        )
-        return model, float(doc["x_mean"]), float(doc["x_std"])
-    except (KeyError, TypeError, ValueError) as exc:
+        kind, sigma = doc["kernel"]["kind"], doc["kernel"].get("sigma")
+        fields = {name: doc[name] for name in ("gamma", "bias", "x_mean", "x_std")}
+        alphas, inputs = doc["alphas"], doc["inputs"]
+        classification = doc.get("classification", False)
+    except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: malformed model file: {exc}") from None
+
+    def refuse(name, rule):
+        return InputError(f"{path}: model field {name} must be {rule}")
+
+    for name, value in fields.items():
+        if not _finite_number(value):
+            raise refuse(name, f"a finite number, got {value!r}")
+    if not (sigma is None or _finite_number(sigma)):
+        raise refuse("kernel.sigma", f"a finite number or null, got {sigma!r}")
+    if type(classification) is not bool:
+        raise refuse("classification", f"true or false, got {classification!r}")
+    if not (isinstance(alphas, list) and all(map(_finite_number, alphas))):
+        raise refuse("alphas", "a list of finite numbers")
+    if not (isinstance(inputs, list) and len(inputs) == len(alphas)
+            and all(isinstance(row, list) and len(row) == len(inputs[0])
+                    and all(map(_finite_number, row)) for row in inputs)):
+        raise refuse("inputs", f"{len(alphas)} lists of finite numbers, one per alpha, "
+                               "all of one length")
+    try:
+        kernel = KernelSpec(kind, sigma)
+    except InputError as exc:
+        raise refuse("kernel", f"a valid kernel: {exc}") from None
+    model = LssvmModel(np.array(alphas, dtype=float), float(fields["bias"]),
+                       float(fields["gamma"]), kernel, np.array(inputs, dtype=float),
+                       classification)
+    return model, float(fields["x_mean"]), float(fields["x_std"])
 
 
 # ---------------------------------------------------------------------------

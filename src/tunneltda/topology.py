@@ -63,10 +63,12 @@ class PointCloud:
         coordinates spread wider (np.ptp; x on a tie): each block's are the
         blocks after it in that order whose coordinate is at most its own
         plus cap * (1 + 1e-12), a margin that only adds candidates against
-        rounding. A candidate's distance is sqrt((x_i - x_j)^2 + (y_i -
-        y_j)^2) with i < j, in the operation order of compute_distance_matrix,
-        so values equal its entries bit for bit whichever axis is swept;
-        pairs outside every window are never measured. The candidates are
+        rounding. A candidate's distance is sqrt((x_a - x_b)^2 + (y_a -
+        y_b)^2) on the sweep-ordered coordinates, in the operation order of
+        compute_distance_matrix; (a - b)^2 == (b - a)^2, so values equal its
+        entries bit for bit whichever axis is swept and whichever block comes
+        first. Pairs outside every window are never measured, and only the
+        pairs within the cap are mapped to (i, j) and sorted. The candidates are
         counted first, and more than MAX_EDGE_CANDIDATES (2^24, at up to 64
         bytes each: 1 GiB) raise InputError, naming the swept axis, before
         any is built. A candidate whose distance overflows raises InputError
@@ -91,14 +93,11 @@ class PointCloud:
         p = np.repeat(np.arange(n), counts)
         q = np.repeat(after - (np.cumsum(counts) - counts), counts)
         q += np.arange(candidates)
-        a, b = by_s[p], by_s[q]
-        del p, q
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        del a, b
+        xs, ys = x[by_s], y[by_s]
         with np.errstate(over="ignore"):
-            d = x[i] - x[j]
+            d = xs[p] - xs[q]
             d *= d
-            dy = y[i] - y[j]
+            dy = ys[p] - ys[q]
             dy *= dy
             d += dy
             del dy
@@ -106,8 +105,10 @@ class PointCloud:
         if not np.all(np.isfinite(d)):
             raise InputError("distances must be finite")
         keep = np.flatnonzero(d <= cap)
-        i, j, d = i[keep], j[keep], d[keep]
-        order = np.argsort(i * n + j)
+        a, b, d = by_s[p[keep]], by_s[q[keep]], d[keep]
+        del p, q
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        order = _stable_order(i * n + j, n * n)
         return i[order], j[order], d[order]
 
     @classmethod
@@ -361,18 +362,21 @@ def build_vr_filtration(
     only the pairs its sweep finds near enough, so it never fills an
     n x n distance matrix. Both give the same edges and values, bit for bit.
 
-    Triangle (i, j, k) is found from edge (i, j) and each upper neighbour
-    k > j of j, as a candidate that is kept when (i, k) is an edge too. The
-    enumeration yields each triangle's facets (ab, ac, bc) as positions in
-    the (i, j) order of the edges: ab and bc from the positions of (i, j)
-    and (j, k), ac from an n x n table of edge positions, the one term of
-    the build that grows as n^2 whatever the cap. These triples, in
-    candidate order, are the edge set's skeleton: which triangles there are
-    depends only on the edges, not on their lengths. Ordering the skeleton
-    by the distances gives the Filtration's facets: triangles are ordered by
-    the dense rank of their longest edge's value, held in the smallest
-    unsigned type, so the only float sort is that of the edges and the
-    triangle sort is a radix sort while ranks fit 16 bits.
+    Triangle (i, j, k), i < j < k, is found at its lowest vertex: each pair
+    of edges (i, j) and (i, k), j < k, from i to the blocks above it is a
+    candidate, kept when (j, k) is an edge too (the node iterator over the
+    label-ordered graph; Schank & Wagner, WEA 2005). The enumeration yields
+    each triangle's facets (ab, ac, bc) as positions in the (i, j) order of
+    the edges: ab and ac from the positions of (i, j) and (i, k), bc from an
+    n x n table of edge positions, the one term of the build that grows as
+    n^2 whatever the cap. These triples, in lexicographic (i, j, k) order,
+    are the edge set's skeleton: which triangles there are depends only on
+    the edges, not on their lengths. Ordering the skeleton by the distances
+    gives the Filtration's facets. The only float sort is an unstable one
+    that gives each edge the dense level of its value; the edges are in the
+    stable order of their levels, and the triangles in that of their longest
+    edge's level, both small integer keys that _stable_order sorts packed
+    with their positions.
 
     The builds of a sequence may share one dict, reuse, that holds one entry
     for the last edge set, keyed by n and the flat ids i * n + j of its
@@ -384,13 +388,15 @@ def build_vr_filtration(
     own triangle order (Filtration.cofaces), so the reduction sorts no facets.
     The entry is out of reuse while a build runs, so one that fails leaves none.
 
-    The cap must be positive and finite. The candidates are counted before
-    any is built, and more than MAX_TRIANGLE_CANDIDATES (2^24) raise
-    InputError; a cap covering the cloud makes every candidate a triangle,
-    so it takes at most n = 466. Memory is O(n^2 + edges + candidates),
-    never O(n^3): the n x n table, a few tens of bytes per triangle in the
-    build and in the reduction that follows (about 1 GiB at the limit), and
-    the entry in reuse, the skeleton and grouping in the smallest types.
+    The cap must be positive and finite. The candidates, the sum over the
+    blocks of C(d, 2) for a block with d edges to blocks above it, are
+    counted before any is built, and more than MAX_TRIANGLE_CANDIDATES
+    (2^24) raise InputError; a cap covering the cloud makes every candidate
+    a triangle, C(n, 3) in all, so it takes at most n = 466. Memory is
+    O(n^2 + edges + candidates), never O(n^3): the n x n table, a few tens
+    of bytes per triangle in the build and in the reduction that follows
+    (about 1 GiB at the limit), and the entry in reuse, the skeleton and
+    grouping in the smallest types.
     """
     check_max_filtration(max_filtration)
     n = len(space)
@@ -418,21 +424,26 @@ def build_vr_filtration(
         skeleton, grouping = entry[2]
     if reuse is not None:
         reuse["edge_set"] = entry
-    # A stable sort by value gives the (value, vertices) order; pos[p] is
-    # the filtration index of the edge at (i, j) position p.
-    order = np.argsort(edge_values, kind="stable")
+    # level[p]: 1 + the number of distinct values below that of the edge at
+    # (i, j) position p. A stable order of the levels is the (value,
+    # vertices) order, and the levels in that order are rank[e]; rank rises
+    # with e, so a triangle's rank is that of its latest facet. pos[p] is
+    # the filtration index of the edge at position p.
+    by_value = np.argsort(edge_values)
+    new = np.ones(m, dtype=bool)
+    np.not_equal(edge_values[by_value[1:]], edge_values[by_value[:-1]], out=new[1:])
+    rank = np.cumsum(new, dtype=id_type)
+    level = np.empty(m, dtype=id_type)
+    level[by_value] = rank
+    n_levels = int(rank[-1]) if m else 0
+    order = _stable_order(level, n_levels + 1)
     values = edge_values[order]
     pos = np.empty(m, dtype=id_type)
     pos[order] = np.arange(m, dtype=id_type)
-    # rank[e]: 1 + the number of distinct values below that of edge e. It
-    # rises with e, so a triangle's rank is that of its latest facet.
-    new = np.ones(m, dtype=bool)
-    new[1:] = values[1:] != values[:-1]
-    rank = np.cumsum(new, dtype=id_type)
     # Each temporary is dropped once used, to keep the peak at scale.
     tris = _gather(pos, skeleton)
     latest = np.maximum(np.maximum(tris[:, 0], tris[:, 1]), tris[:, 2])
-    tri_order = np.argsort(_gather(rank, latest), kind="stable")
+    tri_order = _stable_order(_gather(rank, latest), n_levels + 1)
     n_tris = len(tri_order)
     facets = np.take(tris, tri_order, axis=0)
     del tris
@@ -446,8 +457,8 @@ def build_vr_filtration(
         relabel[tri_order] = np.arange(n_tris, dtype=rows.dtype)
         del tri_order
         cofaces = (_gather(relabel, rows), start, order)
-    return Filtration(n, np.column_stack([i, j])[order], values, facets, tri_values,
-                      float(max_filtration), cofaces)
+    edges = np.take(np.column_stack([i, j]), order, axis=0)
+    return Filtration(n, edges, values, facets, tri_values, float(max_filtration), cofaces)
 
 
 _GATHER_CHUNK = 1 << 13  # indices _gather casts to intp at a time: 64 KiB, under
@@ -474,10 +485,12 @@ def _enumerate_triangles(n: int, max_filtration: float, i: np.ndarray, j: np.nda
     in candidate order; InputError above MAX_TRIANGLE_CANDIDATES."""
     m = len(i)
     # The upper neighbours of v are j[start[v]:start[v + 1]], each at the
-    # (i, j) position of edge (v, k).
+    # (i, j) position of edge (v, k); the edge at position p pairs with the
+    # later ones of its run.
     start = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(i, minlength=n), out=start[1:])
-    counts = start[j + 1] - start[j]
+    after = np.arange(1, m + 1)
+    counts = start[i + 1] - after
     candidates = int(counts.sum())
     if candidates > MAX_TRIANGLE_CANDIDATES:
         raise InputError(
@@ -488,21 +501,21 @@ def _enumerate_triangles(n: int, max_filtration: float, i: np.ndarray, j: np.nda
     index = np.zeros((n, n), dtype=id_type)
     index.ravel()[flat] = np.arange(1, m + 1, dtype=id_type)
     # Candidates come in lexicographic (i, j, k) order, those of edge (i, j)
-    # together; candidate c takes edge (j, k) from position jk[c], which
-    # fits int32 below MAX_TRIANGLE_CANDIDATES. It is a triangle when (i, k)
+    # together; candidate c takes edge (i, k) from position ac[c], which
+    # fits int32 below MAX_TRIANGLE_CANDIDATES. It is a triangle when (j, k)
     # is an edge too.
-    jk = np.repeat((start[j] - (np.cumsum(counts) - counts)).astype(np.int32), counts)
-    jk += np.arange(candidates, dtype=np.int32)
-    cell = np.repeat(n * i, counts)
-    cell += j[jk]
-    ac = index.ravel()[cell]
+    ac = np.repeat((after - (np.cumsum(counts) - counts)).astype(np.int32), counts)
+    ac += np.arange(candidates, dtype=np.int32)
+    cell = np.repeat(n * j, counts)
+    cell += _gather(j, ac)
+    bc = index.ravel()[cell]
     del cell, index
-    hit = np.flatnonzero(ac)
+    hit = np.flatnonzero(bc != 0)
     skeleton = np.empty((len(hit), 3), dtype=id_type)
     skeleton[:, 0] = np.repeat(np.arange(m, dtype=id_type), counts)[hit]
     skeleton[:, 1] = ac[hit]
-    skeleton[:, 1] -= 1
-    skeleton[:, 2] = jk[hit]
+    skeleton[:, 2] = bc[hit]
+    skeleton[:, 2] -= 1
     return skeleton
 
 
@@ -541,8 +554,8 @@ def compute_persistence(f: Filtration) -> Barcode:
     2011; Bauer, Ripser, JACT 2021). f.facets are read as they are, with no
     lookup by vertex pair. Each edge's cofaces come from f.cofaces when the
     build gives them (a repeated edge set), in no order, so the earliest of
-    each group is its minimum, from np.minimum.reduceat; otherwise a stable
-    argsort of the facets lists them ascending. An edge that is the latest
+    each group is its minimum, from np.minimum.reduceat; otherwise
+    _group_cofaces lists them ascending. An edge that is the latest
     facet of its earliest coface is an apparent pair, found with one
     triangle read per edge: its column is already reduced and is read from
     the coboundary, never stored. A column whose earliest coface has no
@@ -668,14 +681,33 @@ def compute_persistence(f: Filtration) -> Barcode:
 
 def _group_cofaces(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of (t, 3) facet ids that hold each of m ids: id e's are
-    rows[start[e]:start[e + 1]], ascending. The ids are in the smallest
-    unsigned type, so the stable argsort that groups them is a radix sort
-    while they fit 16 bits."""
-    rows = np.argsort(facets.ravel(), kind="stable")
+    rows[start[e]:start[e + 1]], ascending. _stable_order groups them, so
+    while an id and a position fit 32 bits together it sorts one packed
+    uint32 word per id."""
+    rows = _stable_order(facets.ravel(), m)
     rows //= 3
     start = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
     return rows, start
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable"), intp, for integer keys in [0, bound).
+
+    While bound - 1 and len(keys) - 1 fit 32 bits together, each key is
+    packed above its position into one uint32 word and the words are sorted,
+    so equal keys fall in position order. Where numpy dispatches a SIMD sort
+    kernel that is 2-3x faster than the stable argsort; without one it may
+    be slower, with the same order. Otherwise it is the stable argsort."""
+    shift = (len(keys) - 1).bit_length()
+    if (bound - 1).bit_length() + shift > 32:
+        return np.argsort(keys, kind="stable")
+    words = keys.astype(np.uint32)
+    words <<= shift
+    words |= np.arange(len(keys), dtype=np.uint32)
+    words.sort()
+    words &= (1 << shift) - 1
+    return words.astype(np.intp)
 
 
 def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:

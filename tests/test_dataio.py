@@ -473,6 +473,73 @@ def test_model_malformed(tmp_path):
         dataio.read_model(path)
 
 
+def write_model_doc(path, **changes):
+    """A model file as write_model writes it, with fields replaced by
+    changes (kernel_sigma for kernel.sigma), written as raw JSON."""
+    doc = {"kernel": {"kind": "rbf", "sigma": 2.0}, "gamma": 100.0, "x_mean": 7.5,
+           "x_std": 4.6, "alphas": [0.25, -0.25, 0.0], "bias": 1.5,
+           "inputs": [[0.0], [1.0], [2.0]], "classification": False}
+    if "kernel_sigma" in changes:
+        doc["kernel"]["sigma"] = changes.pop("kernel_sigma")
+    doc.update(changes)
+    path.write_text(json.dumps(doc))  # json.dumps writes nan as NaN, which json reads back
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"classification": "false"}, "classification must be true or false, got 'false'"),
+    ({"classification": 0}, "classification must be true or false, got 0"),
+    ({"gamma": "100"}, "gamma must be a finite number, got '100'"),
+    ({"gamma": True}, "gamma must be a finite number, got True"),
+    ({"gamma": 10 ** 400}, "gamma must be a finite number, got 1000"),
+    ({"bias": math.nan}, "bias must be a finite number, got nan"),
+    ({"x_mean": math.inf}, "x_mean must be a finite number, got inf"),
+    ({"x_std": None}, "x_std must be a finite number, got None"),
+    ({"kernel_sigma": "2.0"}, "kernel.sigma must be a finite number or null, got '2.0'"),
+    ({"kernel_sigma": False}, "kernel.sigma must be a finite number or null, got False"),
+    ({"kernel_sigma": None}, "kernel must be a valid kernel: rbf kernel needs sigma > 0"),
+    ({"alphas": ["0.25", -0.25, 0.0]}, "alphas must be a list of finite numbers"),
+    ({"alphas": [0.25, True, 0.0]}, "alphas must be a list of finite numbers"),
+    ({"inputs": [[0.0], ["1.0"], [2.0]]}, "inputs must be 3 lists of finite numbers"),
+    ({"inputs": [[0.0], [1.0]]}, "inputs must be 3 lists of finite numbers, one per alpha"),
+    ({"inputs": [[0.0], [1.0, 1.0], [2.0]]}, "all of one length"),
+    ({"inputs": [0.0, 1.0, 2.0]}, "inputs must be 3 lists of finite numbers"),
+], ids=["classification-string", "classification-int", "gamma-string", "gamma-bool",
+        "gamma-past-float", "bias-nan", "x_mean-inf", "x_std-null", "sigma-string",
+        "sigma-bool", "sigma-null-rbf", "alphas-string", "alphas-bool", "inputs-string",
+        "inputs-rows", "inputs-ragged", "inputs-flat"])
+def test_model_refuses_a_field_of_the_wrong_kind(tmp_path, changes, message):
+    path = tmp_path / "model.json"
+    write_model_doc(path, **changes)
+    with pytest.raises(InputError) as exc:
+        dataio.read_model(path)
+    assert str(exc.value).startswith(f"{path}: model field ")
+    assert message in str(exc.value)
+
+
+def test_model_reads_what_write_model_writes(tmp_path):
+    # the unchanged document reads, a linear kernel's sigma is null, and
+    # classification may be left out
+    path = tmp_path / "model.json"
+    write_model_doc(path)
+    model, _, _ = dataio.read_model(path)
+    assert model.kernel == KernelSpec("rbf", 2.0) and model.classification is False
+    write_model_doc(path, kernel={"kind": "linear", "sigma": None}, classification=True)
+    assert dataio.read_model(path)[0].classification is True
+    doc = json.loads(path.read_text())
+    del doc["classification"]
+    path.write_text(json.dumps(doc))
+    assert dataio.read_model(path)[0].classification is False
+
+
+def test_write_model_refuses_a_value_that_is_not_finite(tmp_path):
+    model = LssvmModel(alphas=np.array([0.25, math.nan]), bias=1.5, gamma=100.0,
+                       kernel=KernelSpec("rbf", 2.0), inputs=np.array([[0.0], [1.0]]))
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataio.write_model(model, x_mean=7.5, x_std=4.6, path=path)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 

@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tunneltda import pipeline, topology
 from tunneltda.dataio import SnapshotSequence
@@ -241,6 +241,71 @@ def test_triangle_limit_fails_before_allocating():
     assert peak < 8 * 2 ** 20
     assert reuse == {}
     assert build_vr_filtration(square, 2.0, reuse).cofaces is None
+
+
+def test_triangle_candidates_pair_the_edges_above_each_block(monkeypatch):
+    # 1,000 blocks, one per square metre, numbered along x, at cap 2: the
+    # candidates are the pairs of each block's edges to blocks above it,
+    # counted here from the dense edge list (17,875 for 13,850 triangles;
+    # pairing each edge (a, b) with b's edges above b would give 35,285)
+    rng = np.random.default_rng(1000)
+    xy = rng.uniform(0.0, math.sqrt(1000), size=(1000, 2))
+    cloud = make_cloud(xy[np.argsort(xy[:, 0])])
+    i, j, _ = compute_distance_matrix(cloud).edges_within(2.0)
+    above = np.bincount(i, minlength=1000)
+    count = int((above * (above - 1) // 2).sum())
+    assert count < 0.6 * above[j].sum()
+    monkeypatch.setattr(topology, "MAX_TRIANGLE_CANDIDATES", count - 1)
+    with pytest.raises(InputError, match=f"^1000 blocks at max_filtration 2 give {count} "
+                                         f"triangle candidates, above the limit of "
+                                         f"{count - 1}; lower the cap$"):
+        build_vr_filtration(cloud, 2.0)
+    monkeypatch.setattr(topology, "MAX_TRIANGLE_CANDIDATES", count)
+    f = build_vr_filtration(cloud, 2.0)
+    # every (a, b, c) whose three edges are in the list, none other
+    adjacent = np.zeros((1000, 1000), dtype=bool)
+    adjacent[i, j] = True
+    want = [(a, b, c) for a, b in zip(i.tolist(), j.tolist())
+            for c in np.flatnonzero(adjacent[a] & adjacent[b]).tolist()]
+    assert sorted(map(tuple, f.triangles.tolist())) == want
+    assert_facets_match_lookup(f)
+
+
+@st.composite
+def keys_and_bounds(draw):
+    """Integer keys of one type, often tied, and a bound above them: the
+    tightest, which packs with the positions while both fit 32 bits, or one
+    that never does."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.int64]))
+    top = draw(st.sampled_from([0, 3, 255, int(np.iinfo(dtype).max)]))
+    keys = np.array(draw(st.lists(st.integers(0, top), max_size=3000)), dtype=dtype)
+    tight = int(keys.max()) + 1 if len(keys) else 1
+    return keys, draw(st.sampled_from([tight, max(tight, 2 ** 33)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys_and_bounds())
+@example((np.array([], dtype=np.uint16), 1))
+@example((np.array([5], dtype=np.uint8), 6))
+@example((np.full(1000, 7, dtype=np.int64), 8))
+def test_stable_order_is_the_stable_argsort(spec):
+    keys, bound = spec
+    got = topology._stable_order(keys, bound)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+
+@pytest.mark.parametrize("bound, packs", [(2 ** 15, True), (2 ** 15 + 1, False)])
+def test_stable_order_packs_while_key_and_position_fit_32_bits(monkeypatch, bound, packs):
+    # 2^16 + 1 positions take 17 bits, keys below 2^15 the other 15
+    rng = np.random.default_rng(17)
+    keys = rng.integers(0, bound, size=2 ** 16 + 1).astype(np.uint16)
+    want = np.argsort(keys, kind="stable")
+    argsorts = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: argsorts.append(k) or real_argsort(*a, **k))
+    assert np.array_equal(topology._stable_order(keys, bound), want)
+    assert argsorts == ([] if packs else [{"kind": "stable"}])
 
 
 # ---------------------------------------------------------------------------
