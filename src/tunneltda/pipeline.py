@@ -50,8 +50,8 @@ def _prefixed(text: str):
 
 def compute_barcodes(seq: SnapshotSequence,
                      max_filtration: float = DEFAULT_MAX_FILTRATION) -> list[Barcode]:
-    """One barcode per snapshot, in event order. The builds share one reuse
-    dict (see build_vr_filtration), dropped on return."""
+    """One barcode per snapshot, in event order. The builds and reductions
+    share one reuse dict (see barcode_from_cloud), dropped on return."""
     barcodes, reuse = [], {}
     for event, cloud in enumerate(seq.clouds):
         with _prefixed(f"[persistence event {event}] "):
@@ -315,6 +315,18 @@ class WarningReport:
     notes: tuple[str, ...] = ()
 
 
+def _check_warning_settings(threshold: float | None, rapid_change_ratio: float) -> None:
+    """Refuse a threshold that is not finite (None turns the criterion off)
+    and a rapid-change ratio that is not positive and finite: an infinite
+    ratio would turn the rapid-change criterion off without a word."""
+    if threshold is not None and not math.isfinite(threshold):
+        raise InputError(f"warning threshold must be finite, got {threshold}")
+    if not rapid_change_ratio > 0:  # also true for nan
+        raise InputError(f"rapid-change ratio must be positive, got {rapid_change_ratio}")
+    if rapid_change_ratio == math.inf:
+        raise InputError(f"rapid-change ratio must be finite, got {rapid_change_ratio}")
+
+
 def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
                    rapid_change_ratio: float = DEFAULT_RAPID_RATIO) -> WarningReport:
     """Scan a longest-hole-bar series for the collapse boundary.
@@ -325,7 +337,8 @@ def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
     the median of all earlier drops (skipped while that median is zero, so a
     flat series never divides by zero). A non-finite series value or
     threshold is an InputError, because NaN compares false against every
-    threshold and would hide a collapse.
+    threshold and would hide a collapse; so is a ratio that is not positive
+    and finite.
     """
     series = [float(v) for v in series]
     if len(series) < 2:
@@ -333,10 +346,7 @@ def detect_warning(series, threshold: float | None = DEFAULT_THRESHOLD,
     for e, value in enumerate(series):
         if not math.isfinite(value):
             raise InputError(f"warning series value at event {e} is not finite: {value}")
-    if threshold is not None and not math.isfinite(threshold):
-        raise InputError(f"warning threshold must be finite, got {threshold}")
-    if not rapid_change_ratio > 0:
-        raise InputError(f"rapid-change ratio must be positive, got {rapid_change_ratio}")
+    _check_warning_settings(threshold, rapid_change_ratio)
     drops = [a - b for a, b in zip(series, series[1:])]  # drops[e - 1]: into event e
     at_threshold = []
     trigger_event = None
@@ -393,6 +403,8 @@ def run_all(seq: SnapshotSequence | None, out_dir: str | Path,
         n_events = len(seq)
     with _prefixed("[train-predict] "):
         _check_split(split, n_events)
+    with _prefixed("[warn] "):
+        _check_warning_settings(threshold, rapid_change_ratio)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = {}
 

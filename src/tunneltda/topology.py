@@ -23,6 +23,9 @@ DEFAULT_MAX_FILTRATION = 30.0
 MAX_TRIANGLE_CANDIDATES = 1 << 24
 # Block pairs a cloud's edge listing may measure; see PointCloud.edges_within.
 MAX_EDGE_CANDIDATES = 1 << 24
+# Edges an H1 column must have summed for its sum to be kept for the next
+# snapshot's warm start; see compute_persistence.
+WARM_START_MIN_EDGES = 32
 
 
 @dataclass(frozen=True)
@@ -387,6 +390,9 @@ def build_vr_filtration(
     enumeration. Each repeat hands compute_persistence the grouping in its
     own triangle order (Filtration.cofaces), so the reduction sorts no facets.
     The entry is out of reuse while a build runs, so one that fails leaves none.
+    The reductions of the repeats keep their long H1 sums in the same dict,
+    as "h1_sums" (see compute_persistence); they are positions in the edge
+    set, so a new edge set drops them with the entry.
 
     The cap must be positive and finite. The candidates, the sum over the
     blocks of C(d, 2) for a block with d edges to blocks above it, are
@@ -410,7 +416,10 @@ def build_vr_filtration(
         del entry  # a stale one is freed before the enumeration
         skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
         grouping = None
-        entry = None if reuse is None else (n, flat.astype(np.min_scalar_type(n * n)), None)
+        entry = None
+        if reuse is not None:
+            reuse.pop("h1_sums", None)  # positions in the stale edge set
+            entry = (n, flat.astype(np.min_scalar_type(n * n)), None)
     elif entry[2] is None:
         skeleton = _enumerate_triangles(n, max_filtration, i, j, flat, id_type)
         rows, start = _group_cofaces(skeleton, m)
@@ -539,7 +548,7 @@ def boundary_of_chain(c: frozenset[tuple[int, ...]]) -> frozenset[tuple[int, ...
     return total
 
 
-def compute_persistence(f: Filtration) -> Barcode:
+def compute_persistence(f: Filtration, reuse: dict | None = None) -> Barcode:
     """Barcode by union-find for H0 and cohomology reduction for H1, over Z2.
 
     H0: Kruskal union-find over the sorted edges, with path halving. An edge
@@ -566,13 +575,32 @@ def compute_persistence(f: Filtration) -> Barcode:
     zero it stops at the sentinel, n_tris, which no column owns
     (pivot_owner holds -1 there and at every triangle not yet paired). A
     column that received additions and found a pivot keeps the list of
-    coboundary slices it summed, rather than its rows: Ripser's reduction
-    matrix V instead of R. Adding an owner flips each slice of its list,
+    coboundary slices it summed, and their edges, rather than its rows:
+    Ripser's reduction matrix V instead of R. Adding an owner flips each slice of its list,
     ``col[rows] = ~col[rows]``; a slice holds distinct rows, so the flips
     sum the owner's reduced column over Z2. Every True row lies at or after
     the pivot, so one slice assignment clears the working column. A column
     reduced to zero, or an edge with no coface, is a class still open at
     the cap and gets infinite death.
+
+    Warm start, on the repeat path only: given f.cofaces and the reuse its
+    build shared, the reduction replaces reuse["h1_sums"] with the sums of
+    the columns that summed at least WARM_START_MIN_EDGES coboundaries, its
+    own included: for each, by its (i, j) position, the positions of the
+    other edges it summed an odd number of times. In the next repeat edge e's column starts from
+    the Z2 sum of its own coboundary and those of its stored edges that
+    still come after e: one gather of their cofaces from the grouping, then
+    _odd, whose first row is the start's pivot. The owner loop then runs as
+    above. Adding a later edge's coboundary is a column operation the
+    reduction itself may make, and a reduced column equal to e's coboundary
+    plus later ones has one possible pivot (the pairing uniqueness lemma;
+    Edelsbrunner & Harer, Computational Topology, 2010, VII.1), so every
+    pivot and bar is the cold reduction's, bit for bit, whatever positions
+    the sums hold. They only decide how many additions remain: consecutive
+    blasts move the blocks a little, so the last snapshot's sum is nearly
+    the next one's, as vineyards reuse a reduction along a family of
+    filtrations (Cohen-Steiner, Edelsbrunner & Morozov, SoCG 2006). A warm
+    start costs as much as a few tens of short additions, hence the gate.
 
     The pairing equals that of the standard boundary reduction in (value,
     dim, vertices) order. Only bars with death > birth are reported: a
@@ -610,6 +638,8 @@ def compute_persistence(f: Filtration) -> Barcode:
     # than smaller types, and its earliest coface, n_tris for none.
     facets = f.facets
     n_tris = len(tri_values)
+    keep = reuse is not None and f.cofaces is not None  # the repeat path's sums
+    stored = reuse.pop("h1_sums", {}) if keep else {}
     if f.cofaces is None:
         cofaces, start = _group_cofaces(facets, m)
 
@@ -643,17 +673,35 @@ def compute_persistence(f: Filtration) -> Barcode:
     pivot_owner = np.full(n_tris + 1, -1, dtype=np.min_scalar_type(-m - 1))
     pivot_owner[apparent_tris] = apparent_edges
     records: dict[int, list[np.ndarray]] = {}  # the coboundaries each column summed
+    sums: dict[int, list[int]] = {}  # and their edges, kept on the repeat path
     col = np.zeros(n_tris + 1, dtype=bool)
     col[n_tris] = True
     todo = np.ones(m, dtype=bool)
     todo[forest] = False
     todo[apparent_edges] = False
+    if stored:
+        # A warm start: edge e's column starts as the Z2 sum of its own
+        # coboundary and those of the stored edges that come after it.
+        index = np.empty(m, dtype=np.intp)  # index[p]: the edge at (i, j) position p
+        index[group] = np.arange(m)
+        for p, others in stored.items():
+            e = int(index[p])
+            if todo[e]:
+                groups = np.append(p, others[index[others] > e])
+                lo = start[groups].astype(np.intp)
+                sizes = start[groups + 1] - lo
+                at = np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
+                at += np.arange(len(at))
+                rows = _odd(cofaces[at]).astype(np.intp)
+                records[e], sums[e] = [rows], index[groups].tolist()
+                earliest[e] = rows[0] if len(rows) else n_tris
     todo = np.flatnonzero(todo)[::-1]
     pivots = []  # each column's pivot once reduced, n_tris for none
     for e, pivot in zip(todo.tolist(), earliest[todo].tolist()):
         owner = pivot_owner.item(pivot)
         if owner >= 0:
-            record = [coboundary(e)]
+            record = records.pop(e, None) or [coboundary(e)]
+            summed = sums.pop(e, None) or [e]
             col[record[0]] = True
             while owner >= 0:
                 # an owner that received no addition is its own coboundary
@@ -661,14 +709,22 @@ def compute_persistence(f: Filtration) -> Barcode:
                 for rows in added:
                     col[rows] = ~col[rows]
                 record += added
+                if keep:
+                    summed += sums.get(owner) or (owner,)
                 pivot += int(col[pivot:].argmax())
                 owner = pivot_owner.item(pivot)
             if pivot < n_tris:
                 col[pivot:n_tris] = False
-                records[e] = record
+                records[e], sums[e] = record, summed
         if pivot < n_tris:
             pivot_owner[pivot] = e
         pivots.append(pivot)
+    if keep:
+        # each long sum, by (i, j) position, as the positions of its other
+        # edges that it holds an odd number of times
+        reuse["h1_sums"] = {
+            int(group[e]): _odd(group[summed[1:]]).astype(np.intp)
+            for e, summed in sums.items() if len(summed) >= WARM_START_MIN_EDGES}
     h1_births = edge_values[todo]
     h1_deaths = np.append(tri_values, math.inf)[pivots]
     h1 = h1_deaths > h1_births
@@ -679,15 +735,26 @@ def compute_persistence(f: Filtration) -> Barcode:
     return Barcode.from_arrays(dims[order], births[order], deaths[order], f.max_filtration)
 
 
+def _odd(a: np.ndarray) -> np.ndarray:
+    """The values a holds an odd number of times, ascending: a's Z2 sum.
+    Sorted, each value is a run; one of odd length survives."""
+    a = np.sort(a)
+    new = np.ones(len(a) + 1, dtype=bool)  # new[k]: a run starts at k (or a ends)
+    np.not_equal(a[1:], a[:-1], out=new[1:-1])
+    starts = np.flatnonzero(new)
+    return a[starts[:-1][(np.diff(starts) & 1).astype(bool)]]
+
+
 def _group_cofaces(facets: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows of (t, 3) facet ids that hold each of m ids: id e's are
     rows[start[e]:start[e + 1]], ascending. _stable_order groups them, so
     while an id and a position fit 32 bits together it sorts one packed
     uint32 word per id."""
+    start = np.zeros(m + 1, dtype=np.intp)
+    # counted first, so bincount's intp copy of the ids is freed before the rows exist
+    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
     rows = _stable_order(facets.ravel(), m)
     rows //= 3
-    start = np.zeros(m + 1, dtype=np.intp)
-    np.cumsum(np.bincount(facets.ravel(), minlength=m), out=start[1:])
     return rows, start
 
 
@@ -724,5 +791,8 @@ def betti_numbers(b: Barcode, eps: float) -> tuple[int, int]:
 
 def barcode_from_cloud(pc: PointCloud, max_filtration: float = DEFAULT_MAX_FILTRATION,
                        reuse: dict | None = None) -> Barcode:
-    """Convenience: cloud -> VR filtration (reuse as there) -> barcode."""
-    return compute_persistence(build_vr_filtration(pc, max_filtration, reuse))
+    """Convenience: cloud -> VR filtration -> barcode. Both stages share
+    reuse: the build keeps a repeated edge set's triangles there, the
+    reduction its long H1 sums. Neither can change a bar (see
+    build_vr_filtration and compute_persistence)."""
+    return compute_persistence(build_vr_filtration(pc, max_filtration, reuse), reuse)

@@ -325,6 +325,26 @@ def test_run_all_checks_split_before_writing(tmp_path, capsys, monkeypatch, spli
     assert not (tmp_path / "bundle").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rapid-ratio", "inf", "rapid-change ratio must be finite, got inf"),
+    ("--rapid-ratio", "0", "rapid-change ratio must be positive, got 0.0"),
+    ("--threshold", "nan", "warning threshold must be finite, got nan"),
+])
+def test_warning_settings_are_refused_before_anything_runs(tmp_path, capsys, monkeypatch,
+                                                           flag, value, message):
+    # no barcode or model may be computed, and no file written
+    monkeypatch.setattr(pipeline, "compute_barcodes", None)
+    monkeypatch.setattr(pipeline, "run_feature_experiment", None)
+    report = tmp_path / "report.json"
+    assert run(["warn", "--preset", "paper", flag, value, "--out", report]) == 1
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not report.exists()
+    for source in (["--preset", "paper"], ["--seed", 3]):
+        assert run(["run-all", *source, flag, value, "--out-dir", tmp_path / "bundle"]) == 1
+        assert capsys.readouterr().err == f"input error: [warn] {message}\n"
+        assert not (tmp_path / "bundle").exists()
+
+
 @pytest.mark.parametrize("command", ["compute-ph", "run-all"])
 def test_infinite_cap_is_input_error(tmp_path, capsys, command):
     data = tmp_path / "data"

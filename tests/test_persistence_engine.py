@@ -505,7 +505,10 @@ def seen_twice(dm, cap):
 ], ids=["triangle-then-cycle", "cycle-then-triangle", "n4-then-n5", "n5-then-n4"])
 def test_stale_entry_is_never_used(first, then, monkeypatch):
     # nor kept: its skeleton is freed before the new edge set is enumerated
-    reuse = seen_twice(compute_distance_matrix(make_cloud(first)), 1.0)
+    dm_first = compute_distance_matrix(make_cloud(first))
+    reuse = seen_twice(dm_first, 1.0)
+    compute_persistence(build_vr_filtration(dm_first, 1.0, reuse), reuse)
+    assert "h1_sums" in reuse
     stale = weakref.ref(reuse["edge_set"][2][0])
     freed, enumerate_triangles = [], topology._enumerate_triangles
     monkeypatch.setattr(topology, "_enumerate_triangles",
@@ -513,6 +516,7 @@ def test_stale_entry_is_never_used(first, then, monkeypatch):
     dm = compute_distance_matrix(make_cloud(then))
     f = build_vr_filtration(dm, 1.0, reuse)
     assert f.cofaces is None and freed == [True]
+    assert "h1_sums" not in reuse  # positions in the stale edge set
     assert_same_filtration(f, cold_build(dm, 1.0))
     assert_engine_matches_reference(f)
 
@@ -533,12 +537,107 @@ def test_interleaved_sequences_match_cold_builds():
             assert_same_filtration(f, cold_build(dm, cap))
 
 
+# ---------------------------------------------------------------------------
+# the stored H1 sums: a repeat's reduction starts from the last one's
+
+random_clouds = st.integers(2, 24).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)), min_size=n, max_size=n),
+    st.floats(0.3, 1.2),
+))
+
+
+def random_cloud_and_cap(spec):
+    points, cap_fraction = spec
+    cloud = make_cloud(points)
+    return cloud, max(cap_fraction * compute_distance_matrix(cloud).d.max(), 0.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(grid_clouds.map(tied_cloud_and_cap), random_clouds.map(random_cloud_and_cap)),
+       st.integers(0, 2 ** 32 - 1))
+def test_any_stored_sums_give_the_cold_barcode(cloud_and_cap, seed):
+    # Adding the coboundary of a later edge to a column is a step the
+    # reduction may take, so a column may start from any such sum. Every
+    # edge gets a random sum: any length, repeats, and edges at or before
+    # its own, which must not count.
+    cloud, cap = cloud_and_cap
+    dm = compute_distance_matrix(cloud)
+    reuse = seen_twice(dm, cap)
+    f = build_vr_filtration(dm, cap, reuse)
+    m = len(f.edge_values)
+    want = compute_persistence(f).pairs
+    rng = np.random.default_rng(seed)
+    reuse["h1_sums"] = {p: rng.integers(0, m, size=rng.integers(0, 2 * m + 1))
+                        for p in range(m)}
+    assert compute_persistence(f, reuse).pairs == want
+    # the sums this reduction keeps start the next one
+    assert compute_persistence(f, reuse).pairs == want
+
+
+def test_warm_start_from_an_empty_sum():
+    # a square without its diagonals has no triangle: every column starts
+    # from an empty sum and stays open
+    dm = compute_distance_matrix(make_cloud([(0, 0), (1, 0), (1, 1), (0, 1)]))
+    reuse = seen_twice(dm, 1.2)
+    f = build_vr_filtration(dm, 1.2, reuse)
+    reuse["h1_sums"] = {p: np.arange(4) for p in range(4)}
+    assert compute_persistence(f, reuse).in_dim(1) == (PersistencePair(1, 1.0, math.inf),)
+
+
+@pytest.mark.parametrize("cap", [30.0, 8.0])
+def test_compute_barcodes_equal_cold_barcodes_on_the_ring(cap):
+    # at cap 30 every snapshot repeats the complete edge set, and from the
+    # third on the cavity's column starts from the last snapshot's sum; at
+    # cap 8 the edge set changes and nothing is kept
+    for seed in (*range(32), 1009):
+        seq = generate_sequence(ScenarioConfig(seed=seed))
+        cold = [barcode_from_cloud(cloud, cap) for cloud in seq.clouds]
+        assert pipeline.compute_barcodes(seq, cap) == cold, seed
+
+
+def test_ring_starts_the_cavity_column_from_its_kept_sum(monkeypatch):
+    # the first repeat keeps the cavity column's sum of ~100 coboundaries;
+    # the next starts that column from the Z2 sum of their 40 cofaces each
+    clouds = generate_sequence(ScenarioConfig()).clouds
+    reuse = {}
+    for cloud in clouds[:2]:
+        barcode_from_cloud(cloud, 30.0, reuse)
+    (cavity,) = reuse["h1_sums"].values()
+    assert len(cavity) >= topology.WARM_START_MIN_EDGES - 1
+    sizes, odd = [], topology._odd
+    monkeypatch.setattr(topology, "_odd", lambda a: sizes.append(len(a)) or odd(a))
+    barcode_from_cloud(clouds[2], 30.0, reuse)
+    assert max(sizes) > 40 * (topology.WARM_START_MIN_EDGES - 1)
+    assert len(reuse["h1_sums"]) == 1
+
+
+def uniform_150():
+    """150 blocks that a cap of 20 covers: 551,300 triangles."""
+    rng = np.random.default_rng(150)
+    return make_cloud(rng.uniform(0.0, 10.0, size=(150, 2)))
+
+
+def test_cold_reduction_memory_per_triangle():
+    # without the build's grouping the reduction groups the facets itself;
+    # it counts them before the rows exist, so bincount's intp copy of the
+    # facet ids is freed first
+    f = build_vr_filtration(compute_distance_matrix(uniform_150()), 20.0)
+    assert len(f.triangle_values) == 551_300
+    tracemalloc.start()
+    try:
+        compute_persistence(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 551_300
+
+
 def test_repeat_memory_per_triangle():
     # 150 blocks under a covering cap: 551,300 triangles. With the entry's
-    # skeleton and grouping included, a repeat's build and reduction each
-    # peak below 64 bytes per triangle, the budget of 1 GiB at the limit.
-    rng = np.random.default_rng(150)
-    dm = compute_distance_matrix(make_cloud(rng.uniform(0.0, 10.0, size=(150, 2))))
+    # skeleton and grouping and the stored H1 sums included, a repeat's build
+    # and reduction each peak below 64 bytes per triangle, the budget of
+    # 1 GiB at the limit.
+    dm = compute_distance_matrix(uniform_150())
     reuse = {}
     tracemalloc.start()
     try:
@@ -548,7 +647,7 @@ def test_repeat_memory_per_triangle():
             f = build_vr_filtration(dm, 20.0, reuse)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
-            compute_persistence(f)
+            compute_persistence(f, reuse)
             peaks.append(tracemalloc.get_traced_memory()[1])
             del f
     finally:
@@ -559,9 +658,7 @@ def test_repeat_memory_per_triangle():
 def test_compute_barcodes_keeps_no_entry_after_it_returns():
     # the same 150 blocks three times under a covering cap: the repeats'
     # entry holds ~10 MB of triangles while the sequence runs, none after
-    rng = np.random.default_rng(150)
-    cloud = make_cloud(rng.uniform(0.0, 10.0, size=(150, 2)))
-    seq = SnapshotSequence((0, 1, 2), (cloud,) * 3)
+    seq = SnapshotSequence((0, 1, 2), (uniform_150(),) * 3)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

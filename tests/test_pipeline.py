@@ -53,6 +53,14 @@ def test_warning_rapid_change_ratio_must_be_positive(ratio):
         detect_warning(table6_f8(), rapid_change_ratio=ratio)
 
 
+def test_warning_rapid_change_ratio_must_be_finite():
+    # an infinite ratio would switch the criterion off: this series
+    # triggers at event 4 with a ratio of 3
+    assert detect_warning([10, 9, 8, 7, 0], threshold=None, rapid_change_ratio=3).trigger_event == 4
+    with pytest.raises(InputError, match="^rapid-change ratio must be finite, got inf$"):
+        detect_warning([10, 9, 8, 7, 0], threshold=None, rapid_change_ratio=math.inf)
+
+
 def test_warning_constant_series_never_triggers():
     report = detect_warning([42.0] * 21)
     assert not report.triggered
